@@ -42,7 +42,15 @@ from .evaluate import (
     rouge_n,
 )
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
-from .rank import divrank, divrank_prior_from_length, lexrank, mmr_order, random_order, scores_to_tsv
+from .rank import (
+    RankScores,
+    divrank,
+    divrank_prior_from_length,
+    lexrank,
+    mmr_order,
+    random_order,
+    scores_to_tsv,
+)
 from .summarize import (
     Summary,
     assemble_from_ordering,
@@ -111,27 +119,26 @@ def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
     return cs, idf
 
 
-def _summary_for_method(method, cs, graph, cfg, budget, seed) -> Summary:
+def _summary_for_method(method, cs, graph, cfg, budget, seed) -> tuple[Summary, RankScores | None]:
+    """The method's summary, plus the salience scores it ranked by, if any."""
     if method == "c-lexrank":
-        return c_lexrank_summary(cs, graph, budget, cfg)
+        return c_lexrank_summary(cs, graph, budget, cfg), None
     if method == "c-rr":
-        return c_rr_summary(cs, graph, budget, seed)
+        return c_rr_summary(cs, graph, budget, seed), None
+    if method == "mmr":
+        return assemble_from_ordering(cs, mmr_order(graph), budget), None
+    if method == "random":
+        return assemble_from_ordering(cs, random_order(cs, seed), budget), None
     if method == "lexrank":
         scores = lexrank(graph, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-        order = scores.ranked_ids()
-        return assemble_from_ordering(cs, _ordering(order, "lexrank"), budget)
-    if method == "mmr":
-        return assemble_from_ordering(cs, mmr_order(graph), budget)
-    if method == "divrank":
+    elif method == "divrank":
         scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha)
-        return assemble_from_ordering(cs, _ordering(scores.ranked_ids(), "divrank"), budget)
-    if method == "divrank-prior":
+    elif method == "divrank-prior":
         prior = divrank_prior_from_length(cs, cfg.divrank_beta)
         scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha, prior)
-        return assemble_from_ordering(cs, _ordering(scores.ranked_ids(), "divrank-prior"), budget)
-    if method == "random":
-        return assemble_from_ordering(cs, random_order(cs, seed), budget)
-    raise AssertionError(f"unreachable method {method}")
+    else:
+        raise AssertionError(f"unreachable method {method}")
+    return assemble_from_ordering(cs, _ordering(scores.ranked_ids(), method), budget), scores
 
 
 def _ordering(ids: list[str], method: str):
@@ -173,7 +180,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary = _summary_for_method(args.method, cs, graph, cfg, args.budget, seed)
+        summary, scores = _summary_for_method(args.method, cs, graph, cfg, args.budget, seed)
         suffix = f".t{trial:03d}" if trials > 1 else ""
         base = f"{stem}.{args.method}.{args.budget}{suffix}"
         outputs[f"{base}.txt"] = summary.to_text()
@@ -182,14 +189,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             reports.append(pyramid_score(summary, annotation, pyramid))
     timings.mark("summarize")
 
-    if args.scores_out:
-        if args.method == "lexrank":
-            scores = lexrank(graph, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-        elif args.method == "divrank":
-            scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha)
-        else:
-            prior = divrank_prior_from_length(cs, cfg.divrank_beta)
-            scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha, prior)
+    if args.scores_out:  # a ranking method, so a single trial with scores
         extra_writes.append((Path(args.scores_out), scores_to_tsv(scores)))
 
     if reports:

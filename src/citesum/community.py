@@ -80,12 +80,22 @@ def modularity(g: SimilarityGraph, assignment: dict[str, int]) -> float:
 
 
 def cluster_cnm(g: SimilarityGraph) -> Clustering:
-    """Greedy modularity agglomeration from singletons.
+    """Greedy modularity agglomeration from singletons (Clauset-Newman-Moore).
 
     Repeatedly merges the cluster pair with the largest modularity gain
-    (ties broken by lowest index pair), stops once no merge increases Q, and
-    returns the best partition seen.  O(n^3) worst case, fine at sentence
-    scale.
+    2*(e_ij - a_i*a_j), stops once no merge strictly increases Q, and returns
+    the best partition seen.  Ties go to the lowest index pair: lowest row i,
+    then lowest column j.
+
+    Each alive row i caches the best gain over alive columns j > i and the
+    first column reaching it.  A merge of j into i changes only the gains
+    that involve i or j, so it refreshes row i, the rows whose cached column
+    was i or j, and compares gain(k, i) against the cache of every other row
+    k < i.  The step's pair is the argmax over the row cache.  Each gain is
+    read from the upper triangle with the same IEEE arithmetic as a rescan
+    of every pair, so the partition and Q equal those of a full rescan at
+    every step.  Cost: O(n) vectorized work per merge plus O(n) per
+    refreshed row, so O(n^2) in the usual case.
     """
     n = len(g)
     if n == 0:
@@ -103,40 +113,76 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     # 2*(e[i,j] - a[i]*a[j]).
     e = w / total
     a = e.sum(axis=1)
-    alive = list(range(n))
+    alive = np.ones(n, dtype=bool)
     parents = {i: [i] for i in range(n)}  # cluster index -> member node indices
 
     q = float(np.trace(e) - (a * a).sum())
     best_q = q
     best_members = [list(m) for m in parents.values()]
 
-    while len(alive) > 1:
-        best_gain = 0.0
-        best_pair: tuple[int, int] | None = None
-        for ai in range(len(alive)):
-            i = alive[ai]
-            for bi in range(ai + 1, len(alive)):
-                j = alive[bi]
-                gain = 2.0 * (e[i, j] - a[i] * a[j])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (i, j)
-        if best_pair is None:
+    # Row cache: best_val[i] = max gain over alive j > i, best_col[i] = the
+    # first such j; -inf for dead rows and rows with no alive column right of
+    # them.
+    best_val = np.full(n, -np.inf)
+    best_col = np.zeros(n, dtype=np.intp)
+    _refresh_rows(e, a, alive, np.arange(n), best_val, best_col)
+
+    while True:
+        i = int(np.argmax(best_val))  # lowest row among the best
+        best_gain = best_val[i]
+        if not best_gain > 0.0:
             break
-        i, j = best_pair
+        j = int(best_col[i])
         # Row+column fold leaves e[i,i] = e_ii + e_jj + 2*e_ij as required.
         e[i, :] += e[j, :]
         e[:, i] += e[:, j]
         a[i] += a[j]
         parents[i].extend(parents[j])
         del parents[j]
-        alive.remove(j)
+        alive[j] = False
+        best_val[j] = -np.inf
         q += best_gain
         if q > best_q:
             best_q = q
-            best_members = [list(parents[c]) for c in alive]
+            best_members = [list(m) for m in parents.values()]
+
+        # Rows that lost their cached column (j) or saw its gain change (i);
+        # row i itself is among them, since its cached column was j.
+        stale = alive & ((best_col == i) | (best_col == j))
+        _refresh_rows(e, a, alive, np.flatnonzero(stale), best_val, best_col)
+        # Every other row k < i: only gain(k, i) changed; equal gains go to
+        # the lower column.
+        k = np.flatnonzero(alive[:i] & ~stale[:i])
+        gain = 2.0 * (e[k, i] - a[k] * a[i])
+        cached = best_val[k]
+        better = (gain > cached) | ((gain == cached) & (i < best_col[k]))
+        best_val[k[better]] = gain[better]
+        best_col[k[better]] = i
 
     return _clustering_from_members(g, best_members, best_q)
+
+
+_REFRESH_BLOCK = 64  # rows per block: bounds the temporary at 64 x n gains
+
+
+def _refresh_rows(
+    e: np.ndarray,
+    a: np.ndarray,
+    alive: np.ndarray,
+    rows: np.ndarray,
+    best_val: np.ndarray,
+    best_col: np.ndarray,
+) -> None:
+    """Recompute the row cache of ``rows`` over their alive columns j > row."""
+    n = len(a)
+    columns = np.arange(n)
+    for start in range(0, len(rows), _REFRESH_BLOCK):
+        block = rows[start : start + _REFRESH_BLOCK]
+        gains = 2.0 * (e[block] - a[block, None] * a)
+        gains[~(alive & (columns > block[:, None]))] = -np.inf
+        col = np.argmax(gains, axis=1)
+        best_col[block] = col
+        best_val[block] = gains[np.arange(len(block)), col]
 
 
 def _clustering_from_members(

@@ -8,7 +8,6 @@ threshold, edge iff weight strictly above it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ from .lexical import TokenizerConfig, cosine_similarity, tfidf_vector
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric weighted graph over sentence ids, zero diagonal, weights in [0,1].
+    """Exactly symmetric weighted graph over sentence ids, zero diagonal, weights in [0,1].
 
     Node order matches the source citation set order.
     """
@@ -33,7 +32,7 @@ class SimilarityGraph:
         n = len(self.nodes)
         if w.shape != (n, n):
             raise ValueError(f"weight matrix shape {w.shape} does not match {n} nodes")
-        if not np.allclose(w, w.T):
+        if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("diagonal must be zero")
@@ -111,35 +110,46 @@ class PathStats(NamedTuple):
     disconnected_fraction: float
 
 
+BFS_BLOCK = 64  # sources per level-synchronous BFS block
+
+
 def average_shortest_path(g: SimilarityGraph, threshold: float = 0.10) -> PathStats:
     """BFS hop distances on the binarized graph, averaged over connected pairs.
 
     Disconnected pairs are excluded from the mean (infinity would destroy it)
     and reported as a fraction of all unordered pairs.  With no pairs at all
     (n < 2) or no connected pairs, the average is inf.
+
+    Level-synchronous BFS from blocks of BFS_BLOCK sources: one hop of the
+    whole block is one product ``frontier @ A > 0`` in float32.  The sums are
+    counts of 0/1 products, exact in float32 for n < 2^24 in any summation
+    order, so the result does not depend on BLAS threading and the integer
+    distance totals are exact.  Cost: n / BFS_BLOCK blocks of at most d + 1
+    products each, d the largest hop distance, so O(n^3 * d) flops, all of
+    them inside BLAS.
     """
     adj = g.binarize(threshold)
     n = len(g)
-    neighbor_lists = [np.flatnonzero(adj[i]) for i in range(n)]
-    total = 0
-    connected_pairs = 0
-    for source in range(n):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in neighbor_lists[u]:
-                v = int(v)
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for v, d in dist.items():
-            if v > source:
-                total += d
-                connected_pairs += 1
     all_pairs = n * (n - 1) // 2
     if all_pairs == 0:
         return PathStats(float("inf"), 0.0)
+    a32 = adj.astype(np.float32)
+    total = 0
+    connected_pairs = 0
+    for start in range(0, n, BFS_BLOCK):
+        sources = np.arange(start, min(start + BFS_BLOCK, n))
+        ahead = np.arange(n) > sources[:, None]  # count each pair from its lower end
+        frontier = np.zeros((len(sources), n), dtype=bool)
+        frontier[np.arange(len(sources)), sources] = True
+        visited = frontier.copy()
+        hops = 0
+        while frontier.any():
+            hops += 1
+            frontier = (frontier.astype(np.float32) @ a32 > 0) & ~visited
+            visited |= frontier
+            reached = int(np.count_nonzero(frontier & ahead))
+            total += hops * reached
+            connected_pairs += reached
     average = total / connected_pairs if connected_pairs else float("inf")
     return PathStats(average, (all_pairs - connected_pairs) / all_pairs)
 

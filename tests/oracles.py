@@ -1,0 +1,110 @@
+"""Reference kernels the fast ones in ``citesum`` must match exactly.
+
+These are the plain-loop implementations of greedy modularity agglomeration
+and all-pairs BFS that the package shipped before its vectorized kernels.
+They are kept verbatim as oracles: same partition, same member order, the
+same IEEE value of Q, and the same path statistics.  Test use only; both are
+cubic in the node count.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from citesum.community import Clustering, _clustering_from_members
+from citesum.graph import PathStats, SimilarityGraph
+
+
+def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
+    """Greedy modularity agglomeration from singletons.
+
+    Repeatedly merges the cluster pair with the largest modularity gain
+    (ties broken by lowest index pair), stops once no merge increases Q, and
+    returns the best partition seen.  O(n^3) worst case, fine at sentence
+    scale.
+    """
+    n = len(g)
+    if n == 0:
+        raise ValueError("cannot cluster an empty graph")
+    w = g.weights
+    total = w.sum()  # ordered pairs: twice the undirected total
+    if total == 0.0:
+        # No edges: every partition has Q = 0; keep singletons.
+        return Clustering(
+            assignment={node: i for i, node in enumerate(g.nodes)}, g=n, q=0.0
+        )
+
+    # e[i,j]: weight fraction between current clusters i and j (ordered pairs);
+    # row sums a[i] are the degree fractions, so merging i,j gains
+    # 2*(e[i,j] - a[i]*a[j]).
+    e = w / total
+    a = e.sum(axis=1)
+    alive = list(range(n))
+    parents = {i: [i] for i in range(n)}  # cluster index -> member node indices
+
+    q = float(np.trace(e) - (a * a).sum())
+    best_q = q
+    best_members = [list(m) for m in parents.values()]
+
+    while len(alive) > 1:
+        best_gain = 0.0
+        best_pair: tuple[int, int] | None = None
+        for ai in range(len(alive)):
+            i = alive[ai]
+            for bi in range(ai + 1, len(alive)):
+                j = alive[bi]
+                gain = 2.0 * (e[i, j] - a[i] * a[j])
+                if gain > best_gain:
+                    best_gain = gain
+                    best_pair = (i, j)
+        if best_pair is None:
+            break
+        i, j = best_pair
+        # Row+column fold leaves e[i,i] = e_ii + e_jj + 2*e_ij as required.
+        e[i, :] += e[j, :]
+        e[:, i] += e[:, j]
+        a[i] += a[j]
+        parents[i].extend(parents[j])
+        del parents[j]
+        alive.remove(j)
+        q += best_gain
+        if q > best_q:
+            best_q = q
+            best_members = [list(parents[c]) for c in alive]
+
+    return _clustering_from_members(g, best_members, best_q)
+
+
+def average_shortest_path_oracle(g: SimilarityGraph, threshold: float = 0.10) -> PathStats:
+    """BFS hop distances on the binarized graph, averaged over connected pairs.
+
+    Disconnected pairs are excluded from the mean (infinity would destroy it)
+    and reported as a fraction of all unordered pairs.  With no pairs at all
+    (n < 2) or no connected pairs, the average is inf.
+    """
+    adj = g.binarize(threshold)
+    n = len(g)
+    neighbor_lists = [np.flatnonzero(adj[i]) for i in range(n)]
+    total = 0
+    connected_pairs = 0
+    for source in range(n):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in neighbor_lists[u]:
+                v = int(v)
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for v, d in dist.items():
+            if v > source:
+                total += d
+                connected_pairs += 1
+    all_pairs = n * (n - 1) // 2
+    if all_pairs == 0:
+        return PathStats(float("inf"), 0.0)
+    average = total / connected_pairs if connected_pairs else float("inf")
+    return PathStats(average, (all_pairs - connected_pairs) / all_pairs)

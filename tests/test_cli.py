@@ -129,6 +129,32 @@ class TestSummarize:
                   "--budget", "100", "--out-dir", str(tmp_path),
                   "--scores-out", str(scores_path)])
 
+    @pytest.mark.parametrize("method", ["lexrank", "divrank", "divrank-prior"])
+    def test_scores_out_reuses_the_summary_solve(self, method, paths, tmp_path, capsys, monkeypatch):
+        import citesum.cli as cli
+
+        solves = []
+
+        def counted(solver):
+            def call(*args, **kwargs):
+                solves.append(solver.__name__)
+                return solver(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "lexrank", counted(cli.lexrank))
+        monkeypatch.setattr(cli, "divrank", counted(cli.divrank))
+        scores_path = tmp_path / "scores.tsv"
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--idf", paths["idf"],
+             "--method", method, "--budget", "100",
+             "--out-dir", str(tmp_path), "--scores-out", str(scores_path)],
+            capsys,
+        )
+        assert code == 0
+        assert len(solves) == 1
+        assert len(scores_path.read_text().strip().splitlines()) == 9
+
 
 class TestEvaluate:
     def test_pyramid_report(self, paths, tmp_path, capsys):

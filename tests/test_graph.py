@@ -90,6 +90,9 @@ class TestBuild:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             make_graph([[0.0, 0.3], [0.1, 0.0]])
+        # One ulp off is still asymmetric: cluster_cnm reads only the upper triangle.
+        with pytest.raises(ValueError, match="symmetric"):
+            make_graph([[0.0, 0.3], [np.nextafter(0.3, 1.0), 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             make_graph([[0.5, 0.3], [0.3, 0.0]])
         with pytest.raises(ValueError, match="0,1"):
