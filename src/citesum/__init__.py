@@ -19,7 +19,6 @@ from .corpus import (
     ParseError,
     RunConfig,
     Sentence,
-    SourceKind,
     ValidationError,
     load_citation_set,
     load_factoid_annotation,
@@ -64,7 +63,6 @@ __all__ = [
     "RunConfig",
     "Sentence",
     "SimilarityGraph",
-    "SourceKind",
     "Summary",
     "TermVector",
     "TokenizerConfig",

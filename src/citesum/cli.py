@@ -24,7 +24,6 @@ from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
     DataError,
     RunConfig,
-    SourceKind,
     load_citation_set,
     load_factoid_annotation,
     load_idf_table,
@@ -43,6 +42,7 @@ from .evaluate import (
 )
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
 from .rank import (
+    Ordering,
     RankScores,
     divrank,
     divrank_prior_from_length,
@@ -59,7 +59,35 @@ from .summarize import (
     summary_from_json,
 )
 
-METHODS = ("c-lexrank", "c-rr", "lexrank", "mmr", "divrank", "divrank-prior", "random")
+
+def _by_scores(cs, scores: RankScores, method: str, budget: int) -> tuple[Summary, RankScores]:
+    order = Ordering(tuple(scores.ranked_ids()), method)
+    return assemble_from_ordering(cs, order, budget), scores
+
+
+# method -> fn(cs, graph, cfg, budget, seed) -> (summary, the scores it ranked by or None).
+# The lambdas look the summarizers up in this module when called, never at import.
+SUMMARIZERS = {
+    "c-lexrank": lambda cs, g, cfg, budget, seed: (c_lexrank_summary(cs, g, budget, cfg), None),
+    "c-rr": lambda cs, g, cfg, budget, seed: (c_rr_summary(cs, g, budget, seed), None),
+    "lexrank": lambda cs, g, cfg, budget, seed: _by_scores(
+        cs, lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping), "lexrank", budget
+    ),
+    "mmr": lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, mmr_order(g), budget), None),
+    "divrank": lambda cs, g, cfg, budget, seed: _by_scores(
+        cs, divrank(g, cfg.divrank_lambda, cfg.divrank_alpha), "divrank", budget
+    ),
+    "divrank-prior": lambda cs, g, cfg, budget, seed: _by_scores(
+        cs,
+        divrank(g, cfg.divrank_lambda, cfg.divrank_alpha, divrank_prior_from_length(cs, cfg.divrank_beta)),
+        "divrank-prior",
+        budget,
+    ),
+    "random": lambda cs, g, cfg, budget, seed: (
+        assemble_from_ordering(cs, random_order(cs, seed), budget), None
+    ),
+}
+METHODS = tuple(SUMMARIZERS)
 STOCHASTIC_METHODS = {"c-rr", "random"}
 RANKING_METHODS = {"lexrank", "divrank", "divrank-prior"}
 
@@ -102,9 +130,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         "divrank_alpha": getattr(args, "divrank_alpha", None),
         "divrank_beta": getattr(args, "divrank_beta", None),
         "stopword_path": getattr(args, "stopwords", None),
-        "summary_budget_words": getattr(args, "budget", None),
-        "random_seed": getattr(args, "seed", None),
-        "random_trials": getattr(args, "trials", None),
     }
     if getattr(args, "config", None):
         return load_run_config(args.config, overrides)
@@ -112,39 +137,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
-    tokenizer = cfg.tokenizer_config()
-    source_kind = SourceKind(getattr(args, "source_kind", "citations"))
-    cs = load_citation_set(args.infile, source_kind, tokenizer)
+    cs = load_citation_set(args.infile, cfg.tokenizer_config())
     idf = load_idf_table(args.idf) if getattr(args, "idf", None) else uniform_idf()
     return cs, idf
-
-
-def _summary_for_method(method, cs, graph, cfg, budget, seed) -> tuple[Summary, RankScores | None]:
-    """The method's summary, plus the salience scores it ranked by, if any."""
-    if method == "c-lexrank":
-        return c_lexrank_summary(cs, graph, budget, cfg), None
-    if method == "c-rr":
-        return c_rr_summary(cs, graph, budget, seed), None
-    if method == "mmr":
-        return assemble_from_ordering(cs, mmr_order(graph), budget), None
-    if method == "random":
-        return assemble_from_ordering(cs, random_order(cs, seed), budget), None
-    if method == "lexrank":
-        scores = lexrank(graph, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-    elif method == "divrank":
-        scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha)
-    elif method == "divrank-prior":
-        prior = divrank_prior_from_length(cs, cfg.divrank_beta)
-        scores = divrank(graph, cfg.divrank_lambda, cfg.divrank_alpha, prior)
-    else:
-        raise AssertionError(f"unreachable method {method}")
-    return assemble_from_ordering(cs, _ordering(scores.ranked_ids(), method), budget), scores
-
-
-def _ordering(ids: list[str], method: str):
-    from .rank import Ordering
-
-    return Ordering(ids=tuple(ids), method=method)
 
 
 def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -180,7 +175,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary, scores = _summary_for_method(args.method, cs, graph, cfg, args.budget, seed)
+        summary, scores = SUMMARIZERS[args.method](cs, graph, cfg, args.budget, seed)
         suffix = f".t{trial:03d}" if trials > 1 else ""
         base = f"{stem}.{args.method}.{args.budget}{suffix}"
         outputs[f"{base}.txt"] = summary.to_text()
@@ -211,10 +206,13 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "version": __version__,
         "command": "summarize",
         "method": args.method,
+        "budget": args.budget,
+        "seed": args.seed,
+        "trials": trials,
         "config": asdict(cfg),
         "inputs": {
             str(p): _sha256(p)
-            for p in [args.infile, args.idf, args.annotations, args.config]
+            for p in [args.infile, args.idf, args.annotations, args.config, cfg.stopword_path]
             if p
         },
         "outputs": sorted(outputs),
@@ -233,7 +231,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             parser.error("--metric pyramid requires --summary, --citations, --annotations")
         cfg = _resolve_config(args)
         cs = load_citation_set(args.citations, tokenizer=cfg.tokenizer_config())
-        annotation = load_factoid_annotation(args.annotations, cs, args.weights)
+        annotation = load_factoid_annotation(args.annotations, cs)
         pyramid = build_pyramid(annotation)
         reports = [
             pyramid_score(summary_from_json(path), annotation, pyramid)
@@ -333,12 +331,6 @@ def _add_common(sub: argparse.ArgumentParser, with_idf: bool = True) -> None:
     sub.add_argument("--threshold", type=float, help="edge threshold for binarized statistics")
     sub.add_argument("--damping", type=float, help="teleport damping for salience walks")
     sub.add_argument("--stopwords", help="stopword list, one word per line")
-    sub.add_argument(
-        "--source-kind",
-        choices=[k.value for k in SourceKind],
-        default="citations",
-        help="what the sentences are (citations, abstracts, full_papers)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--summary", nargs="+", help="summary JSON file(s) (pyramid); one row each")
     p_eval.add_argument("--citations", help="citation set JSONL (pyramid, kappa)")
     p_eval.add_argument("--annotations", help="factoid TSV (pyramid)")
-    p_eval.add_argument("--weights", help="factoid weight TSV (pyramid)")
     p_eval.add_argument("--candidate", help="candidate summary text file (rouge)")
     p_eval.add_argument("--references", nargs="+", help="reference summary files (rouge)")
     p_eval.add_argument("--jackknife", action="store_true", help="leave-one-reference-out (rouge)")

@@ -38,20 +38,14 @@ class Clustering:
         return out
 
 
-def _block_sums(g: SimilarityGraph, labels: np.ndarray, k: int) -> np.ndarray:
-    """S[a,b] = total weight between clusters a and b over ordered node pairs."""
-    s = np.zeros((k, k))
-    w = g.weights
-    for a in range(k):
-        ia = np.flatnonzero(labels == a)
-        for b in range(a, k):
-            ib = np.flatnonzero(labels == b)
-            block = w[np.ix_(ia, ib)].sum()
-            if a == b:
-                s[a, a] = block
-            else:
-                s[a, b] = s[b, a] = block
-    return s
+def block_sums(g: SimilarityGraph, labels: np.ndarray, k: int) -> np.ndarray:
+    """S[a,b] = total weight between clusters a and b over ordered node pairs.
+
+    One ``np.bincount`` over the weights in row-major order: the summation
+    order is fixed and uses no BLAS, so the sums do not depend on threading.
+    """
+    pair_labels = labels[:, None] * k + labels[None, :]
+    return np.bincount(pair_labels.ravel(), weights=g.weights.ravel(), minlength=k * k).reshape(k, k)
 
 
 def modularity(g: SimilarityGraph, assignment: dict[str, int]) -> float:
@@ -70,7 +64,7 @@ def modularity(g: SimilarityGraph, assignment: dict[str, int]) -> float:
     labels_list = [assignment[node] for node in g.nodes]
     k = max(labels_list) + 1
     labels = np.asarray(labels_list)
-    s = _block_sums(g, labels, k)
+    s = block_sums(g, labels, k)
     total = s.sum()
     if total == 0.0:
         return 0.0

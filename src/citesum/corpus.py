@@ -4,23 +4,25 @@ File formats (all UTF-8, line oriented):
   - citation set: JSON lines, one object per sentence:
         {"id": str, "text": str, "source_doc": str}
     Line order is significant and preserved.
-  - factoid annotation: TSV rows ``sentence_id<TAB>factoid_id`` (one row per pair);
-    optional companion weight file with TSV rows ``factoid_id<TAB>weight``.
+  - factoid annotation: TSV rows ``sentence_id<TAB>factoid_id`` (one row per pair).
   - nugget spans: TSV rows ``annotator<TAB>sentence_id<TAB>start<TAB>end`` where
     start/end are byte offsets into the UTF-8 encoding of the sentence text and
     must fall on codepoint boundaries.
-  - IDF table: TSV rows ``term<TAB>idf``.
+  - IDF table: TSV rows ``term<TAB>idf``, each idf finite and non-negative.
   - reference summary: plain text, one summary per file.
+  - run configuration: ``key = value`` lines naming RunConfig fields.
 
-Loaders are pure given the file bytes; everything they return is immutable
-after construction and safe to share across threads.
+In the TSV files, blank lines and lines starting with ``#`` are skipped.
+Every loader names the offending line of a file it rejects.  Loaders are pure
+given the file bytes; everything they return is immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from enum import Enum
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -34,12 +36,6 @@ class ParseError(DataError):
 
 class ValidationError(DataError):
     """A file parsed but violates an invariant."""
-
-
-class SourceKind(str, Enum):
-    CITATIONS = "citations"
-    ABSTRACTS = "abstracts"
-    FULL_PAPERS = "full_papers"
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,10 @@ class Sentence:
 
 @dataclass(frozen=True)
 class CitationSet:
-    """Ordered sentences about one target paper, from one source kind."""
+    """Ordered sentences about one target paper."""
 
     target_id: str
     sentences: tuple[Sentence, ...]
-    source_kind: SourceKind = SourceKind.CITATIONS
 
     def __post_init__(self):
         ids = [s.id for s in self.sentences]
@@ -79,25 +74,17 @@ class CitationSet:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def sentence(self, sid: str) -> Sentence:
-        for s in self.sentences:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
 
 @dataclass(frozen=True)
 class FactoidAnnotation:
     """Which factoids (atomic contributions) each sentence mentions.
 
-    Sentences with no factoids map to an empty set.  ``factoid_weights`` is
-    optional priority-derived weighting carried for provenance; tier weights
-    used by pyramid scoring come from occurrence counts, not from this map.
+    Sentences with no factoids map to an empty set.  Pyramid tier weights
+    come from occurrence counts.
     """
 
     factoid_ids: frozenset[str]
     sentence_factoids: dict[str, frozenset[str]]
-    factoid_weights: dict[str, float] | None = None
 
     def __post_init__(self):
         for sid, facts in self.sentence_factoids.items():
@@ -106,13 +93,6 @@ class FactoidAnnotation:
                 raise ValidationError(
                     f"sentence {sid} references unknown factoid(s): {sorted(unknown)}"
                 )
-        if self.factoid_weights is not None:
-            unknown = set(self.factoid_weights) - set(self.factoid_ids)
-            if unknown:
-                raise ValidationError(f"weights for unknown factoid(s): {sorted(unknown)}")
-            for fid, w in self.factoid_weights.items():
-                if not w > 0:
-                    raise ValidationError(f"factoid {fid} has non-positive weight {w}")
 
     def factoids_of(self, sentence_id: str) -> frozenset[str]:
         return self.sentence_factoids.get(sentence_id, frozenset())
@@ -146,10 +126,12 @@ class IdfTable:
 
     def __post_init__(self):
         for term, v in self.values.items():
-            if v < 0:
-                raise ValidationError(f"negative idf for term {term!r}: {v}")
-        if self.default_idf < 0:
-            raise ValidationError(f"negative default idf: {self.default_idf}")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValidationError(f"idf for term {term!r} must be finite and non-negative: {v}")
+        if not (math.isfinite(self.default_idf) and self.default_idf >= 0):
+            raise ValidationError(
+                f"default idf must be finite and non-negative: {self.default_idf}"
+            )
 
     def idf(self, term: str) -> float:
         return self.values.get(term, self.default_idf)
@@ -166,6 +148,7 @@ class RunConfig:
 
     Defaults: LexRank edges need cosine above 0.10, damping 0.85; the
     reinforced walk uses lambda 0.90, alpha 0.25, length-prior beta 0.1.
+    The budget, seed and trial count are per-run CLI arguments, not config.
     """
 
     lexrank_damping: float = 0.85
@@ -173,14 +156,15 @@ class RunConfig:
     divrank_lambda: float = 0.90
     divrank_alpha: float = 0.25
     divrank_beta: float = 0.1
-    summary_budget_words: int = 100
-    random_seed: int = 0
-    random_trials: int = 100
     lowercase: bool = True
     strip_punctuation: bool = True
     stopword_path: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(v):
+                raise ValidationError(f"{f.name} must be finite, got {v}")
         for name in ("lexrank_damping", "divrank_lambda", "divrank_alpha"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -189,10 +173,6 @@ class RunConfig:
             raise ValidationError(
                 f"lexrank_edge_threshold must be in [0,1], got {self.lexrank_edge_threshold}"
             )
-        if self.summary_budget_words <= 0:
-            raise ValidationError(f"summary budget must be positive, got {self.summary_budget_words}")
-        if self.random_trials <= 0:
-            raise ValidationError(f"random_trials must be positive, got {self.random_trials}")
 
     def tokenizer_config(self) -> "TokenizerConfig":
         from .lexical import TokenizerConfig
@@ -235,13 +215,14 @@ def _coerce_config_value(key: str, value: str, path, lineno: int):
     try:
         if "bool" in annot:
             return _CONFIG_BOOLS[value.lower()]
-        if "int" in annot:
-            return int(value)
-        if "float" in annot:
-            return float(value)
-        return value
+        if "float" not in annot:
+            return value
+        number = float(value)
     except (KeyError, ValueError):
         raise ParseError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
+    return number
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -258,16 +239,31 @@ def _read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
+def _tsv_rows(path: str | Path, fields: tuple[str, ...]):
+    """Yield ``(line number, cells)`` for each row of a TSV file with these fields.
+
+    Blank lines and lines starting with ``#`` are skipped.  A row with the
+    wrong number of cells is a ParseError naming the line and the layout.
+    """
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        cells = raw.split("\t")
+        if len(cells) != len(fields):
+            raise ParseError(f"{path}:{lineno}: expected '{'<TAB>'.join(fields)}'")
+        yield lineno, cells
+
+
 def load_citation_set(
     path: str | Path,
-    source_kind: SourceKind = SourceKind.CITATIONS,
     tokenizer: "TokenizerConfig | None" = None,
     target_id: str | None = None,
 ) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
-    ValidationError for missing fields, duplicate ids, or an empty file.
+    ValidationError for missing or non-string fields, duplicate ids, or an
+    empty file.
     """
     from .lexical import TokenizerConfig, tokenize
 
@@ -286,14 +282,18 @@ def load_citation_set(
         missing = {"id", "text"} - set(record)
         if missing:
             raise ValidationError(f"{path}:{lineno}: missing field(s) {sorted(missing)}")
-        text = str(record["text"])
+        record.setdefault("source_doc", "")
+        not_strings = [k for k in ("id", "text", "source_doc") if not isinstance(record[k], str)]
+        if not_strings:
+            raise ValidationError(f"{path}:{lineno}: field(s) {not_strings} must be strings")
+        text = record["text"]
         sentences.append(
             Sentence(
-                id=str(record["id"]),
+                id=record["id"],
                 text=text,
                 tokens=tuple(tokenize(text, cfg)),
                 word_count=len(text.split()),
-                source_doc=str(record.get("source_doc", "")),
+                source_doc=record["source_doc"],
             )
         )
     if not sentences:
@@ -301,7 +301,6 @@ def load_citation_set(
     return CitationSet(
         target_id=target_id if target_id is not None else path.stem,
         sentences=tuple(sentences),
-        source_kind=source_kind,
     )
 
 
@@ -314,21 +313,7 @@ def save_citation_set(cs: CitationSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def retokenized(cs: CitationSet, tokenizer: "TokenizerConfig") -> CitationSet:
-    """Same sentences under a different tokenizer config."""
-    from .lexical import tokenize
-
-    return replace(
-        cs,
-        sentences=tuple(replace(s, tokens=tuple(tokenize(s.text, tokenizer))) for s in cs.sentences),
-    )
-
-
-def load_factoid_annotation(
-    path: str | Path,
-    cs: CitationSet,
-    weights_path: str | Path | None = None,
-) -> FactoidAnnotation:
+def load_factoid_annotation(path: str | Path, cs: CitationSet) -> FactoidAnnotation:
     """Load ``sentence_id<TAB>factoid_id`` rows against a citation set.
 
     Sentences absent from the file get the empty factoid set.  Unknown
@@ -337,39 +322,17 @@ def load_factoid_annotation(
     known = set(cs.ids)
     sentence_factoids: dict[str, set[str]] = {s.id: set() for s in cs.sentences}
     factoid_ids: set[str] = set()
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'sentence_id<TAB>factoid_id'")
-        sid, fid = parts[0].strip(), parts[1].strip()
+    for lineno, (sid, fid) in _tsv_rows(path, ("sentence_id", "factoid_id")):
+        sid, fid = sid.strip(), fid.strip()
         if sid not in known:
             raise ValidationError(f"{path}:{lineno}: unknown sentence id {sid!r}")
         if not fid:
             raise ParseError(f"{path}:{lineno}: empty factoid id")
         sentence_factoids[sid].add(fid)
         factoid_ids.add(fid)
-
-    weights = None
-    if weights_path is not None:
-        weights = {}
-        for lineno, raw in enumerate(_read_lines(weights_path), start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{weights_path}:{lineno}: expected 'factoid_id<TAB>weight'")
-            fid, value = parts[0].strip(), parts[1].strip()
-            try:
-                weights[fid] = float(value)
-            except ValueError:
-                raise ParseError(f"{weights_path}:{lineno}: bad weight {value!r}") from None
-
     return FactoidAnnotation(
         factoid_ids=frozenset(factoid_ids),
         sentence_factoids={sid: frozenset(f) for sid, f in sentence_factoids.items()},
-        factoid_weights=weights,
     )
 
 
@@ -382,13 +345,8 @@ def load_nugget_spans(path: str | Path, cs: CitationSet) -> dict[str, NuggetSpan
     """
     text_bytes = {s.id: s.text.encode("utf-8") for s in cs.sentences}
     per_annotator: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 'annotator<TAB>sentence_id<TAB>start<TAB>end'")
-        annotator, sid, start_s, end_s = (p.strip() for p in parts)
+    for lineno, cells in _tsv_rows(path, ("annotator", "sentence_id", "start", "end")):
+        annotator, sid, start_s, end_s = (c.strip() for c in cells)
         if sid not in text_bytes:
             raise ValidationError(f"{path}:{lineno}: unknown sentence id {sid!r}")
         try:
@@ -435,17 +393,14 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 def load_idf_table(path: str | Path) -> IdfTable:
     """Load ``term<TAB>idf`` rows; unseen terms default to the max observed idf."""
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'term<TAB>idf'")
-        term, value_s = parts[0], parts[1].strip()
+    for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf")):
+        value_s = value_s.strip()
         try:
             value = float(value_s)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad idf value {value_s!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: non-finite idf {value_s!r} for term {term!r}")
         if value < 0:
             raise ValidationError(f"{path}:{lineno}: negative idf {value} for term {term!r}")
         values[term] = value

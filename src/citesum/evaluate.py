@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus import CitationSet, DataError, FactoidAnnotation, NuggetSpanAnnotation
 from .summarize import Summary
@@ -24,15 +25,12 @@ class Pyramid:
     tiers: dict[int, frozenset[str]]
     n: int
 
-    def weight(self, factoid: str) -> int:
-        for tier, members in self.tiers.items():
-            if factoid in members:
-                return tier
-        return 0
+    @cached_property
+    def _tier_of(self) -> dict[str, int]:
+        return {f: tier for tier, members in self.tiers.items() for f in members}
 
-    @property
-    def factoid_count(self) -> int:
-        return sum(len(members) for members in self.tiers.values())
+    def weight(self, factoid: str) -> int:
+        return self._tier_of.get(factoid, 0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CitationSet, IdfTable
-from .lexical import TokenizerConfig, cosine_similarity, tfidf_vector
+from .lexical import cosine_similarity, tfidf_vector
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,7 @@ class SimilarityGraph:
         )
 
 
-def build_citation_summary_network(
-    cs: CitationSet,
-    idf: IdfTable,
-    cfg: TokenizerConfig | None = None,
-) -> SimilarityGraph:
+def build_citation_summary_network(cs: CitationSet, idf: IdfTable) -> SimilarityGraph:
     """Pairwise TF-IDF cosine graph over the citation set, no thresholding.
 
     Permutation equivariant: permuting the input sentences permutes the rows
@@ -70,12 +66,7 @@ def build_citation_summary_network(
     """
     if len(cs) == 0:
         raise ValueError("citation set is empty")
-    if cfg is None:
-        vectors = [tfidf_vector(s.tokens, idf) for s in cs.sentences]
-    else:
-        from .lexical import tokenize
-
-        vectors = [tfidf_vector(tokenize(s.text, cfg), idf) for s in cs.sentences]
+    vectors = [tfidf_vector(s.tokens, idf) for s in cs.sentences]
     n = len(vectors)
     w = np.zeros((n, n))
     for i in range(n):

@@ -41,7 +41,6 @@ class Ordering:
 
     ids: tuple[str, ...]
     method: str
-    seed: int | None = None
 
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
@@ -199,7 +198,7 @@ def random_order(cs: CitationSet, seed: int) -> Ordering:
     for i in range(len(ids) - 1, 0, -1):
         j = rng.randint(0, i)
         ids[i], ids[j] = ids[j], ids[i]
-    return Ordering(ids=tuple(ids), method="random", seed=seed)
+    return Ordering(ids=tuple(ids), method="random")
 
 
 def scores_to_tsv(scores: RankScores) -> str:

@@ -4,8 +4,8 @@ The cluster-then-rank summarizer partitions the similarity network into
 communities, ranks each community's sentences by within-cluster LexRank, and
 round-robins across communities in decreasing size order so each pass adds
 one more perspective.  The round-robin variant replaces the within-cluster
-ranking with seeded uniform picks.  Plain orderings (LexRank, MMR, DivRank,
-random) are assembled into summaries by the same budget rule.
+ranking with seeded uniform picks.  Every summarizer ends in a full Ordering
+that ``assemble_from_ordering`` packs under the word budget.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from .community import Clustering, cluster_cnm
+import numpy as np
+
+from .community import Clustering, block_sums, cluster_cnm
 from .corpus import CitationSet, RunConfig
 from .graph import SimilarityGraph
 from .rank import Ordering, lexrank
@@ -68,16 +70,20 @@ class Summary:
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def _pack_budget(cs: CitationSet, selection: list[str], budget: int, method: str) -> Summary:
-    """Take sentences in selection order until the word budget is exhausted.
+def assemble_from_ordering(cs: CitationSet, order: Ordering, budget: int) -> Summary:
+    """Summary from a full ordering: take sentences in order until the word
+    budget is exhausted.
 
     The sentence that crosses the budget is cut mid-sentence at the budget
     boundary; with budget 0 or an exhausted budget nothing more is added.
     """
+    missing = set(cs.ids) - set(order.ids)
+    if missing:
+        raise ValueError(f"ordering does not cover sentence(s): {sorted(missing)}")
     by_id = {s.id: s for s in cs.sentences}
     entries: list[SummaryEntry] = []
     used = 0
-    for sid in selection:
+    for sid in order.ids:
         if used >= budget:
             break
         sentence = by_id[sid]
@@ -92,21 +98,16 @@ def _pack_budget(cs: CitationSet, selection: list[str], budget: int, method: str
             entries.append(SummaryEntry(sid, " ".join(words), remaining, True, sentence.source_doc))
             used = budget
             break
-    return Summary(entries=tuple(entries), total_words=used, method=method, budget=budget)
+    return Summary(entries=tuple(entries), total_words=used, method=order.method, budget=budget)
 
 
 def cluster_visit_order(g: SimilarityGraph, clustering: Clustering) -> list[int]:
     """Cluster indices in visiting order: decreasing size, then decreasing
     internal weight, then lower index."""
-    node_index = {node: i for i, node in enumerate(g.nodes)}
-    keys = []
-    for c, members in enumerate(clustering.clusters()):
-        idx = [node_index[node] for node in members]
-        internal = sum(
-            g.weights[i, j] for pos, i in enumerate(idx) for j in idx[pos + 1 :]
-        )
-        keys.append((-len(members), -internal, c))
-    return [c for _, _, c in sorted(keys)]
+    labels = np.array([clustering.assignment[node] for node in g.nodes])
+    sizes = np.bincount(labels, minlength=clustering.g)
+    internal = np.diag(block_sums(g, labels, clustering.g))
+    return sorted(range(clustering.g), key=lambda c: (-sizes[c], -internal[c], c))
 
 
 def _clustered_rankings(
@@ -154,8 +155,8 @@ def c_lexrank_summary(
     clustering = clustering or cluster_cnm(g)
     visit = cluster_visit_order(g, clustering)
     rankings = _clustered_rankings(g, clustering, cfg)
-    selection = _round_robin(visit, rankings)
-    return _pack_budget(cs, selection, budget, "c-lexrank")
+    order = Ordering(tuple(_round_robin(visit, rankings)), "c-lexrank")
+    return assemble_from_ordering(cs, order, budget)
 
 
 def c_rr_summary(
@@ -175,16 +176,8 @@ def c_rr_summary(
         members = sorted(clustering.members(c), key=lambda node: node_index[node])
         rng.shuffle(members)
         shuffled[c] = members
-    selection = _round_robin(visit, shuffled)
-    return _pack_budget(cs, selection, budget, "c-rr")
-
-
-def assemble_from_ordering(cs: CitationSet, order: Ordering, budget: int) -> Summary:
-    """Summary from any full ordering: take sentences in order until budget."""
-    missing = set(cs.ids) - set(order.ids)
-    if missing:
-        raise ValueError(f"ordering does not cover sentence(s): {sorted(missing)}")
-    return _pack_budget(cs, list(order.ids), budget, order.method)
+    order = Ordering(tuple(_round_robin(visit, shuffled)), "c-rr")
+    return assemble_from_ordering(cs, order, budget)
 
 
 def summary_from_json(path) -> Summary:

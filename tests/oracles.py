@@ -1,10 +1,11 @@
 """Reference kernels the fast ones in ``citesum`` must match exactly.
 
-These are the plain-loop implementations of greedy modularity agglomeration
-and all-pairs BFS that the package shipped before its vectorized kernels.
-They are kept verbatim as oracles: same partition, same member order, the
-same IEEE value of Q, and the same path statistics.  Test use only; both are
-cubic in the node count.
+These are the plain-loop implementations of greedy modularity agglomeration,
+all-pairs BFS and the cluster visiting order that the package shipped before
+its vectorized kernels.  They are kept verbatim as oracles: same partition,
+same member order, the same IEEE value of Q, the same path statistics and
+the same visiting order.  Test use only; the first two are cubic in the node
+count.
 """
 
 from __future__ import annotations
@@ -108,3 +109,17 @@ def average_shortest_path_oracle(g: SimilarityGraph, threshold: float = 0.10) ->
         return PathStats(float("inf"), 0.0)
     average = total / connected_pairs if connected_pairs else float("inf")
     return PathStats(average, (all_pairs - connected_pairs) / all_pairs)
+
+
+def cluster_visit_order_oracle(g: SimilarityGraph, clustering: Clustering) -> list[int]:
+    """Cluster indices by decreasing size, then decreasing internal weight
+    (a Python sum over each cluster's node pairs), then lower index."""
+    node_index = {node: i for i, node in enumerate(g.nodes)}
+    keys = []
+    for c, members in enumerate(clustering.clusters()):
+        idx = [node_index[node] for node in members]
+        internal = sum(
+            g.weights[i, j] for pos, i in enumerate(idx) for j in idx[pos + 1 :]
+        )
+        keys.append((-len(members), -internal, c))
+    return [c for _, _, c in sorted(keys)]

@@ -88,6 +88,51 @@ class TestSummarize:
         assert code == 1
         assert "malformed" in err
 
+    def test_manifest_records_run_values_and_stopwords(self, paths, tmp_path, capsys):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\nof\n", encoding="utf-8")
+        code, out, _ = run(
+            ["summarize", "--in", paths["citations"], "--method", "random",
+             "--budget", "60", "--seed", "7", "--trials", "3",
+             "--stopwords", str(stopwords), "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        info = json.loads((tmp_path / "w05-0622.random.60.manifest.json").read_text())
+        assert (info["budget"], info["seed"], info["trials"]) == (60, 7, 3)
+        assert set(info["inputs"]) == {paths["citations"], str(stopwords)}
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--method", "lexrank",
+             "--budget", "40", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
+        assert (info["budget"], info["seed"], info["trials"]) == (40, None, 1)
+
+    def test_non_finite_config_float_is_data_error(self, paths, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("divrank_beta = nan\n", encoding="utf-8")
+        code, _, err = run(
+            ["summarize", "--in", paths["citations"], "--method", "divrank-prior",
+             "--budget", "100", "--config", str(cfg), "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "run.cfg:1:" in err and "finite" in err
+        assert not list(tmp_path.glob("*.txt"))
+
+    def test_non_string_text_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "null.jsonl"
+        bad.write_text('{"id": "a", "text": null}\n', encoding="utf-8")
+        code, _, err = run(
+            ["summarize", "--in", str(bad), "--method", "lexrank", "--budget", "100",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "null.jsonl:1:" in err
+        assert not list(tmp_path.glob("*.txt"))
+
     def test_random_trials_with_mean_pyramid(self, paths, tmp_path, capsys):
         code, _, _ = run(
             ["summarize", "--in", paths["citations"], "--method", "random",

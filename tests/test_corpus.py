@@ -6,7 +6,6 @@ from conftest import toy_citation_set
 from citesum.corpus import (
     IdfTable,
     ParseError,
-    SourceKind,
     ValidationError,
     load_citation_set,
     load_factoid_annotation,
@@ -70,16 +69,25 @@ class TestCitationSet:
         with pytest.raises(ValidationError, match="text"):
             load_citation_set(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "s2", "text": null}',
+            '{"id": "s2", "text": ["x", "y"]}',
+            '{"id": 2, "text": "x"}',
+            '{"id": "s2", "text": "x", "source_doc": 7}',
+        ],
+    )
+    def test_non_string_field_rejected(self, tmp_path, record):
+        path = write(tmp_path, "typed.jsonl", '{"id": "s1", "text": "x"}\n' + record + "\n")
+        with pytest.raises(ValidationError, match=":2: .*must be strings"):
+            load_citation_set(path)
+
     def test_round_trip(self, tmp_path, nine_citations):
         out = tmp_path / "round.jsonl"
         save_citation_set(nine_citations, out)
         again = load_citation_set(out, target_id=nine_citations.target_id)
         assert again == nine_citations
-
-    def test_source_kind(self, tmp_path):
-        path = write(tmp_path, "ab.jsonl", '{"id": "s1", "text": "x", "source_doc": "d"}\n')
-        cs = load_citation_set(path, SourceKind.ABSTRACTS)
-        assert cs.source_kind is SourceKind.ABSTRACTS
 
 
 class TestFactoidAnnotation:
@@ -101,17 +109,10 @@ class TestFactoidAnnotation:
         ann = load_factoid_annotation(path, nine_citations)
         assert ann.factoid_ids == frozenset()
 
-    def test_weights_validated(self, tmp_path, nine_citations):
-        ann_path = write(tmp_path, "ann.tsv", "s1\tf1\n")
-        bad_weights = write(tmp_path, "wbad.tsv", "f2\t1.0\n")
-        with pytest.raises(ValidationError, match="unknown factoid"):
-            load_factoid_annotation(ann_path, nine_citations, bad_weights)
-        nonpos = write(tmp_path, "wneg.tsv", "f1\t0\n")
-        with pytest.raises(ValidationError, match="non-positive"):
-            load_factoid_annotation(ann_path, nine_citations, nonpos)
-        good = write(tmp_path, "w.tsv", "f1\t8\n")
-        ann = load_factoid_annotation(ann_path, nine_citations, good)
-        assert ann.factoid_weights == {"f1": 8.0}
+    def test_wrong_arity_names_line(self, tmp_path, nine_citations):
+        path = write(tmp_path, "ann.tsv", "# header\ns1\tf1\ns2\tf1\textra\n")
+        with pytest.raises(ParseError, match=":3: expected 'sentence_id<TAB>factoid_id'"):
+            load_factoid_annotation(path, nine_citations)
 
 
 class TestIdfTable:
@@ -129,9 +130,19 @@ class TestIdfTable:
         with pytest.raises(ValidationError, match="negative"):
             load_idf_table(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_idf_rejected(self, tmp_path, value):
+        path = write(tmp_path, "idf.tsv", f"the\t0.5\nw\t{value}\n")
+        with pytest.raises(ValidationError, match=":2: non-finite idf"):
+            load_idf_table(path)
+
     def test_direct_construction_validates(self):
         with pytest.raises(ValidationError):
             IdfTable({"w": -0.5})
+        with pytest.raises(ValidationError):
+            IdfTable({"w": float("nan")})
+        with pytest.raises(ValidationError):
+            IdfTable({"w": 1.0}, default_idf=float("inf"))
 
 
 class TestNuggetSpans:
@@ -174,26 +185,38 @@ class TestRunConfig:
         assert cfg.divrank_lambda == 0.90
         assert cfg.divrank_alpha == 0.25
         assert cfg.divrank_beta == 0.1
-        assert cfg.random_trials == 100
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             RunConfig(lexrank_damping=1.5)
-        with pytest.raises(ValidationError):
-            RunConfig(summary_budget_words=0)
+        with pytest.raises(ValidationError, match="divrank_beta must be finite"):
+            RunConfig(divrank_beta=float("nan"))
 
     def test_config_file_and_overrides(self, tmp_path):
         path = write(
             tmp_path,
             "run.cfg",
-            "# a comment\nlexrank_damping = 0.5\nsummary_budget_words = 250\nlowercase = false\n",
+            "# a comment\nlexrank_damping = 0.5\ndivrank_beta = 0.3\nlowercase = false\n",
         )
         cfg = load_run_config(path)
         assert cfg.lexrank_damping == 0.5
-        assert cfg.summary_budget_words == 250
+        assert cfg.divrank_beta == 0.3
         assert cfg.lowercase is False
-        cfg2 = load_run_config(path, {"lexrank_damping": 0.7, "random_seed": None})
+        cfg2 = load_run_config(path, {"lexrank_damping": 0.7, "divrank_beta": None})
         assert cfg2.lexrank_damping == 0.7  # flags win
+        assert cfg2.divrank_beta == 0.3  # an unset flag keeps the file's value
+
+    @pytest.mark.parametrize("line", ["divrank_beta = nan", "lexrank_damping = inf"])
+    def test_non_finite_float_names_line(self, tmp_path, line):
+        path = write(tmp_path, "run.cfg", "# a comment\n" + line + "\n")
+        with pytest.raises(ValidationError, match=":2: .* must be finite"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("key", ["summary_budget_words", "random_seed", "random_trials"])
+    def test_per_run_values_are_not_config_keys(self, tmp_path, key):
+        path = write(tmp_path, "run.cfg", f"{key} = 5\n")
+        with pytest.raises(ValidationError, match="unknown config key"):
+            load_run_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "run.cfg", "no_such_option = 3\n")

@@ -9,10 +9,11 @@ import pytest
 from conftest import make_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import average_shortest_path_oracle, cluster_cnm_oracle
+from oracles import average_shortest_path_oracle, cluster_cnm_oracle, cluster_visit_order_oracle
 
-from citesum.community import Clustering, cluster_cnm, modularity
+from citesum.community import Clustering, block_sums, cluster_cnm, modularity
 from citesum.graph import BFS_BLOCK, average_shortest_path, build_citation_summary_network
+from citesum.summarize import cluster_visit_order
 
 FAMILIES = ("uniform", "quantized", "sparse-binary")
 
@@ -113,3 +114,21 @@ def test_bfs_long_path_across_blocks():
     stats = average_shortest_path(g, 0.5)
     assert stats == average_shortest_path_oracle(g, 0.5)
     assert stats.disconnected_fraction > 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_sums_and_visit_order_match_the_loops(family):
+    rng = np.random.default_rng(FAMILIES.index(family) + 301)
+    for _ in range(60):
+        g = random_graph(rng, int(rng.integers(1, 40)), family)
+        k = int(rng.integers(1, len(g) + 1))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, len(g) - k)])
+        rng.shuffle(labels)
+        expected = np.array(
+            [[g.weights[np.ix_(labels == a, labels == b)].sum() for b in range(k)] for a in range(k)]
+        )
+        np.testing.assert_allclose(block_sums(g, labels, k), expected, rtol=0, atol=1e-12)
+        clustering = Clustering(dict(zip(g.nodes, labels.tolist())), g=k, q=0.0)
+        assert cluster_visit_order(g, clustering) == cluster_visit_order_oracle(g, clustering)
+        found = cluster_cnm(g)
+        assert cluster_visit_order(g, found) == cluster_visit_order_oracle(g, found)
