@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -41,6 +41,7 @@ from .evaluate import (
     rouge_n,
 )
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
+from .lexical import TokenizerConfig
 from .rank import (
     Ordering,
     RankScores,
@@ -123,23 +124,19 @@ class _Timings:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "lexrank_edge_threshold": getattr(args, "threshold", None),
-        "lexrank_damping": getattr(args, "damping", None),
-        "divrank_lambda": getattr(args, "divrank_lambda", None),
-        "divrank_alpha": getattr(args, "divrank_alpha", None),
-        "divrank_beta": getattr(args, "divrank_beta", None),
-        "stopword_path": getattr(args, "stopwords", None),
-    }
-    if getattr(args, "config", None):
+    """``--config`` with the flags on top; each config flag's dest is its RunConfig field."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if args.config:
         return load_run_config(args.config, overrides)
     return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
-    cs = load_citation_set(args.infile, cfg.tokenizer_config())
-    idf = load_idf_table(args.idf) if getattr(args, "idf", None) else uniform_idf()
-    return cs, idf
+    """The citation set, the idf table and the tokenizer the graph build reads."""
+    tokenizer = TokenizerConfig.from_run_config(cfg)
+    cs = load_citation_set(args.infile)
+    idf = load_idf_table(args.idf) if args.idf else uniform_idf()
+    return cs, idf, tokenizer
 
 
 def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -156,13 +153,13 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     timings = _Timings()
     cfg = _resolve_config(args)
-    cs, idf = _load_inputs(args, cfg)
+    cs, idf, tokenizer = _load_inputs(args, cfg)
     annotation = (
         load_factoid_annotation(args.annotations, cs) if args.annotations else None
     )
     timings.mark("load")
 
-    graph = build_citation_summary_network(cs, idf)
+    graph = build_citation_summary_network(cs, idf, tokenizer)
     timings.mark("graph")
 
     out_dir = Path(args.out_dir)
@@ -229,8 +226,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.metric == "pyramid":
         if not (args.summary and args.citations and args.annotations):
             parser.error("--metric pyramid requires --summary, --citations, --annotations")
-        cfg = _resolve_config(args)
-        cs = load_citation_set(args.citations, tokenizer=cfg.tokenizer_config())
+        cs = load_citation_set(args.citations)
         annotation = load_factoid_annotation(args.annotations, cs)
         pyramid = build_pyramid(annotation)
         reports = [
@@ -257,8 +253,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     else:  # kappa
         if not (args.citations and args.spans_a and args.spans_b):
             parser.error("--metric kappa requires --citations, --spans-a, --spans-b")
-        cfg = _resolve_config(args)
-        cs = load_citation_set(args.citations, tokenizer=cfg.tokenizer_config())
+        cs = load_citation_set(args.citations)
         ann_a = _single_annotator(load_nugget_spans(args.spans_a, cs), args.spans_a)
         ann_b = _single_annotator(load_nugget_spans(args.spans_b, cs), args.spans_b)
         kappas = {
@@ -288,8 +283,8 @@ def _single_annotator(annotations: dict, path) -> "object":
 
 def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _resolve_config(args)
-    cs, idf = _load_inputs(args, cfg)
-    graph = build_citation_summary_network(cs, idf)
+    cs, idf, tokenizer = _load_inputs(args, cfg)
+    graph = build_citation_summary_network(cs, idf, tokenizer)
     threshold = cfg.lexrank_edge_threshold
     coefficient = clustering_coefficient(graph, threshold)
     paths = average_shortest_path(graph, threshold)
@@ -314,23 +309,30 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _resolve_config(args)
-    cs, idf = _load_inputs(args, cfg)
-    graph = build_citation_summary_network(cs, idf)
+    cs, idf, tokenizer = _load_inputs(args, _resolve_config(args))
+    graph = build_citation_summary_network(cs, idf, tokenizer)
     clustering = cluster_cnm(graph)
     _write_atomic(Path(args.out), clustering_to_tsv(clustering, graph.nodes))
     print(args.out)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, with_idf: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    """The inputs of every subcommand that builds the graph."""
     sub.add_argument("--in", dest="infile", required=True, help="citation set (JSON lines)")
-    if with_idf:
-        sub.add_argument("--idf", help="IDF table TSV (default: uniform idf of 1.0)")
+    sub.add_argument("--idf", help="IDF table TSV (default: uniform idf of 1.0)")
     sub.add_argument("--config", help="key = value config file; flags win over its values")
-    sub.add_argument("--threshold", type=float, help="edge threshold for binarized statistics")
-    sub.add_argument("--damping", type=float, help="teleport damping for salience walks")
-    sub.add_argument("--stopwords", help="stopword list, one word per line")
+    sub.add_argument(
+        "--stopwords", dest="stopword_path", metavar="STOPWORDS",
+        help="stopword list, one word per line",
+    )
+
+
+def _add_threshold(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threshold", type=float, dest="lexrank_edge_threshold", metavar="THRESHOLD",
+        help="edge threshold for LexRank and the binarized statistics",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,6 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = subs.add_parser("summarize", help="write a word-budgeted extractive summary")
     _add_common(p_sum)
+    _add_threshold(p_sum)
+    p_sum.add_argument(
+        "--damping", type=float, dest="lexrank_damping", metavar="DAMPING",
+        help="teleport damping for LexRank",
+    )
     p_sum.add_argument("--method", required=True, choices=METHODS)
     p_sum.add_argument("--budget", type=int, required=True, help="summary budget in words")
     p_sum.add_argument("--seed", type=int, help="required for stochastic methods")
@@ -369,12 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--chance-model", choices=("cohen", "scott", "uniform"), default="cohen"
     )
-    p_eval.add_argument("--config", help="key = value config file")
-    p_eval.add_argument("--stopwords", help="stopword list, one word per line")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_stats = subs.add_parser("graph-stats", help="small-world statistics of the sentence graph")
     _add_common(p_stats)
+    _add_threshold(p_stats)
     p_stats.add_argument("--dot", help="also write the binarized graph in DOT format")
     p_stats.set_defaults(func=cmd_graph_stats)
 

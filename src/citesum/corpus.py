@@ -13,9 +13,11 @@ File formats (all UTF-8, line oriented):
   - run configuration: ``key = value`` lines naming RunConfig fields.
 
 In the TSV files, blank lines and lines starting with ``#`` are skipped.
-Every loader names the offending line of a file it rejects.  Loaders are pure
-given the file bytes; everything they return is immutable after construction
-and safe to share across threads.
+Every loader names the offending line of a file it rejects.  Loaders only
+parse and validate: they keep each sentence's raw text and never tokenize it,
+since terms feed only the similarity graph, which tokenizes as it builds
+(``citesum.graph``).  Loaders are pure given the file bytes; everything they
+return is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ class ValidationError(DataError):
 class Sentence:
     """One citing/abstract/paper sentence: the atomic summarization unit.
 
-    ``word_count`` is the whitespace token count of the raw text (what a human
-    would count against a summary budget); ``tokens`` are the normalized terms
-    produced by the tokenizer and may be shorter.
+    ``word_count`` is the whitespace token count of the raw text, what a human
+    would count against a summary budget.  Terms are not stored: the graph
+    build tokenizes ``text`` itself, the only place that reads terms.
     """
 
     id: str
     text: str
-    tokens: tuple[str, ...]
     word_count: int
     source_doc: str
 
@@ -144,11 +145,13 @@ def uniform_idf() -> IdfTable:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All tunables for a summarization/evaluation run.
+    """All tunables of the graph build and the rankers.
 
     Defaults: LexRank edges need cosine above 0.10, damping 0.85; the
     reinforced walk uses lambda 0.90, alpha 0.25, length-prior beta 0.1.
-    The budget, seed and trial count are per-run CLI arguments, not config.
+    ``lowercase``, ``strip_punctuation`` and ``stopword_path`` make up the
+    tokenizer (``TokenizerConfig.from_run_config``).  The budget, seed and
+    trial count are per-run CLI arguments, not config.
     """
 
     lexrank_damping: float = 0.85
@@ -173,18 +176,6 @@ class RunConfig:
             raise ValidationError(
                 f"lexrank_edge_threshold must be in [0,1], got {self.lexrank_edge_threshold}"
             )
-
-    def tokenizer_config(self) -> "TokenizerConfig":
-        from .lexical import TokenizerConfig
-
-        stopwords: frozenset[str] = frozenset()
-        if self.stopword_path is not None:
-            stopwords = load_stopwords(self.stopword_path)
-        return TokenizerConfig(
-            lowercase=self.lowercase,
-            strip_punctuation=self.strip_punctuation,
-            stopwords=stopwords,
-        )
 
 
 _CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -254,20 +245,13 @@ def _tsv_rows(path: str | Path, fields: tuple[str, ...]):
         yield lineno, cells
 
 
-def load_citation_set(
-    path: str | Path,
-    tokenizer: "TokenizerConfig | None" = None,
-    target_id: str | None = None,
-) -> CitationSet:
+def load_citation_set(path: str | Path, target_id: str | None = None) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
     ValidationError for missing or non-string fields, duplicate ids, or an
     empty file.
     """
-    from .lexical import TokenizerConfig, tokenize
-
-    cfg = tokenizer or TokenizerConfig()
     path = Path(path)
     sentences: list[Sentence] = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -291,7 +275,6 @@ def load_citation_set(
             Sentence(
                 id=record["id"],
                 text=text,
-                tokens=tuple(tokenize(text, cfg)),
                 word_count=len(text.split()),
                 source_doc=record["source_doc"],
             )

@@ -9,9 +9,8 @@ optional leave-one-reference-out jackknifing.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .corpus import CitationSet, DataError, FactoidAnnotation, NuggetSpanAnnotation
@@ -35,7 +34,7 @@ class Pyramid:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One evaluation cell: a method/budget pair with its scores."""
+    """One pyramid evaluation cell: a method/budget pair with its coverage."""
 
     method: str
     budget: int
@@ -43,10 +42,9 @@ class EvalReport:
     covered_factoids: int
     weight_covered: int
     weight_optimal: int
-    rouge: dict[int, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "method": self.method,
             "budget": self.budget,
             "pyramid": self.pyramid_score,
@@ -54,12 +52,6 @@ class EvalReport:
             "D": self.weight_covered,
             "Max": self.weight_optimal,
         }
-        if self.rouge:
-            payload["rouge"] = {f"rouge_{n}": v for n, v in sorted(self.rouge.items())}
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def build_pyramid(ann: FactoidAnnotation) -> Pyramid:
@@ -253,11 +245,8 @@ def rouge_n(
 
 
 def report_to_tsv(reports: list[EvalReport]) -> str:
-    """Rows = methods, columns = metrics; fixed six-decimal formatting."""
-    columns = ["method", "budget", "pyramid", "covered_factoids", "D", "Max"]
-    rouge_ns = sorted({n for report in reports for n in report.rouge})
-    columns += [f"rouge_{n}" for n in rouge_ns]
-    lines = ["\t".join(columns)]
+    """One row per report, columns = the pyramid fields; fixed six-decimal scores."""
+    lines = ["method\tbudget\tpyramid\tcovered_factoids\tD\tMax"]
     for report in reports:
         row = [
             report.method,
@@ -266,10 +255,6 @@ def report_to_tsv(reports: list[EvalReport]) -> str:
             str(report.covered_factoids),
             str(report.weight_covered),
             str(report.weight_optimal),
-        ]
-        row += [
-            f"{report.rouge[n]:.6f}" if n in report.rouge else ""
-            for n in rouge_ns
         ]
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

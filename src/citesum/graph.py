@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CitationSet, IdfTable
-from .lexical import cosine_similarity, tfidf_vector
+from .lexical import TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,19 @@ class SimilarityGraph:
         )
 
 
-def build_citation_summary_network(cs: CitationSet, idf: IdfTable) -> SimilarityGraph:
+def build_citation_summary_network(
+    cs: CitationSet, idf: IdfTable, tokenizer: TokenizerConfig = TokenizerConfig()
+) -> SimilarityGraph:
     """Pairwise TF-IDF cosine graph over the citation set, no thresholding.
 
-    Permutation equivariant: permuting the input sentences permutes the rows
-    and columns of the weight matrix identically.
+    Each sentence's text is split into terms by ``tokenizer`` here, the one
+    place that reads terms, and weighted against ``idf``.  Permutation
+    equivariant: permuting the input sentences permutes the rows and columns
+    of the weight matrix identically.
     """
     if len(cs) == 0:
         raise ValueError("citation set is empty")
-    vectors = [tfidf_vector(s.tokens, idf) for s in cs.sentences]
+    vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
     n = len(vectors)
     w = np.zeros((n, n))
     for i in range(n):
@@ -80,18 +84,21 @@ def clustering_coefficient(g: SimilarityGraph, threshold: float = 0.10) -> float
 
     Local value at i = triangles through i / pairs of neighbors of i,
     defined 0 for degree < 2.
+
+    Row i of ``(A @ A) * A`` counts, for each neighbor j of i, the neighbors
+    i and j share, so its sum is twice the links among i's neighbors.  The
+    product runs in float32 on 0/1 entries, exact for n < 2^24 in any
+    summation order; the row sums run in int64.  The local values are added
+    in node order, one float add at a time, so the mean does not depend on
+    BLAS threading.
     """
     adj = g.binarize(threshold)
-    n = len(g)
-    total = 0.0
-    for i in range(n):
-        neighbors = np.flatnonzero(adj[i])
-        k = len(neighbors)
-        if k < 2:
-            continue
-        links = int(np.triu(adj[np.ix_(neighbors, neighbors)], 1).sum())
-        total += links / (k * (k - 1) / 2)
-    return total / n
+    a32 = adj.astype(np.float32)
+    links = ((a32 @ a32) * a32).astype(np.int64).sum(axis=1) // 2
+    k = adj.sum(axis=1)
+    pairs = k * (k - 1) / 2
+    local = np.where(k >= 2, links / np.maximum(pairs, 1.0), 0.0)
+    return float(np.cumsum(local)[-1]) / len(g)
 
 
 class PathStats(NamedTuple):

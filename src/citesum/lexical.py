@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import IdfTable
+from .corpus import IdfTable, RunConfig, load_stopwords
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
@@ -23,6 +23,14 @@ class TokenizerConfig:
     lowercase: bool = True
     strip_punctuation: bool = True
     stopwords: frozenset[str] = frozenset()
+
+    @staticmethod
+    def from_run_config(cfg: RunConfig) -> "TokenizerConfig":
+        """The tokenizer a run's config names, reading its stopword file if any."""
+        stopwords: frozenset[str] = frozenset()
+        if cfg.stopword_path is not None:
+            stopwords = load_stopwords(cfg.stopword_path)
+        return TokenizerConfig(cfg.lowercase, cfg.strip_punctuation, stopwords)
 
 
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:

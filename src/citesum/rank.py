@@ -93,18 +93,14 @@ def lexrank(
 def _divrank_base_transitions(g: SimilarityGraph, alpha: float) -> np.ndarray:
     """Pre-reinforcement transitions: alpha*w(u,v)/deg(u) off-diagonal, 1-alpha self.
 
-    Zero-degree nodes keep all mass on their self loop.
+    Zero-degree nodes keep all mass on their self loop.  Their weight row is
+    all zeros, so dividing it by 1.0 leaves it zero.
     """
-    n = len(g)
     w = g.weights
     degrees = w.sum(axis=1)
-    p0 = np.zeros((n, n))
-    for u in range(n):
-        if degrees[u] == 0.0:
-            p0[u, u] = 1.0
-        else:
-            p0[u, :] = alpha * w[u, :] / degrees[u]
-            p0[u, u] = 1.0 - alpha
+    isolated = degrees == 0.0
+    p0 = alpha * w / np.where(isolated, 1.0, degrees)[:, None]
+    np.fill_diagonal(p0, np.where(isolated, 1.0, 1.0 - alpha))
     return p0
 
 

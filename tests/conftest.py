@@ -69,14 +69,11 @@ def two_cliques_graph(bridge: float = 0.1) -> SimilarityGraph:
 
 
 def toy_citation_set(texts: list[str], ids: list[str] | None = None) -> CitationSet:
-    from citesum.lexical import tokenize
-
     ids = ids or [f"s{i + 1}" for i in range(len(texts))]
     sentences = tuple(
         Sentence(
             id=sid,
             text=text,
-            tokens=tuple(tokenize(text)),
             word_count=len(text.split()),
             source_doc="doc",
         )

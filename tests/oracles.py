@@ -1,11 +1,12 @@
 """Reference kernels the fast ones in ``citesum`` must match exactly.
 
 These are the plain-loop implementations of greedy modularity agglomeration,
-all-pairs BFS and the cluster visiting order that the package shipped before
-its vectorized kernels.  They are kept verbatim as oracles: same partition,
-same member order, the same IEEE value of Q, the same path statistics and
-the same visiting order.  Test use only; the first two are cubic in the node
-count.
+all-pairs BFS, the cluster visiting order, the clustering coefficient and the
+DivRank base transitions that the package shipped before its vectorized
+kernels.  They are kept verbatim as oracles: same partition, same member
+order, the same IEEE value of Q, the same path statistics, the same visiting
+order, the same coefficient and the same transition matrix.  Test use only;
+the first two are cubic in the node count.
 """
 
 from __future__ import annotations
@@ -123,3 +124,33 @@ def cluster_visit_order_oracle(g: SimilarityGraph, clustering: Clustering) -> li
         )
         keys.append((-len(members), -internal, c))
     return [c for _, _, c in sorted(keys)]
+
+
+def clustering_coefficient_oracle(g: SimilarityGraph, threshold: float = 0.10) -> float:
+    """Mean local clustering over all vertices of the binarized graph, one node at a time."""
+    adj = g.binarize(threshold)
+    n = len(g)
+    total = 0.0
+    for i in range(n):
+        neighbors = np.flatnonzero(adj[i])
+        k = len(neighbors)
+        if k < 2:
+            continue
+        links = int(np.triu(adj[np.ix_(neighbors, neighbors)], 1).sum())
+        total += links / (k * (k - 1) / 2)
+    return total / n
+
+
+def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndarray:
+    """alpha*w(u,v)/deg(u) off-diagonal and 1-alpha self, row by row; isolated rows stay put."""
+    n = len(g)
+    w = g.weights
+    degrees = w.sum(axis=1)
+    p0 = np.zeros((n, n))
+    for u in range(n):
+        if degrees[u] == 0.0:
+            p0[u, u] = 1.0
+        else:
+            p0[u, :] = alpha * w[u, :] / degrees[u]
+            p0[u, u] = 1.0 - alpha
+    return p0

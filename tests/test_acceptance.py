@@ -26,7 +26,6 @@ from citesum.corpus import (
 )
 from citesum.evaluate import build_pyramid, ngram_kappa, pyramid_score, rouge_n
 from citesum.graph import build_citation_summary_network
-from citesum.lexical import tokenize
 from citesum.rank import Ordering, divrank, lexrank, random_order
 from citesum.summarize import (
     Summary,
@@ -373,8 +372,7 @@ def synthetic_citation_set(rng: random.Random, index: int):
                 Sentence(
                     id=f"s{sid}",
                     text=text,
-                    tokens=tuple(tokenize(text)),
-                    word_count=len(words),
+                            word_count=len(words),
                     source_doc=f"doc{sid}",
                 )
             )

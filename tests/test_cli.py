@@ -369,6 +369,58 @@ class TestCluster:
         assert all("\t" in line for line in lines[1:])
 
 
+class TestTokenizerReachesGraph:
+    """--stopwords and the config's tokenizer keys change what the graph is built from."""
+
+    def outputs(self, paths, out_dir, capsys, *extra):
+        out_dir.mkdir()
+        run(["summarize", "--in", paths["citations"], "--method", "c-lexrank",
+             "--budget", "60", "--out-dir", str(out_dir), *extra],
+            capsys)
+        run(["cluster", "--in", paths["citations"], "--out", str(out_dir / "clusters.tsv"), *extra],
+            capsys)
+        return {
+            name: (out_dir / name).read_bytes()
+            for name in ("w05-0622.c-lexrank.60.txt", "w05-0622.c-lexrank.60.json", "clusters.tsv")
+        }
+
+    def test_stopwords_and_lowercase_change_summary_and_clusters(self, paths, tmp_path, capsys):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\nof\nand\na\nto\nin\nfor\n", encoding="utf-8")
+        keep_case = tmp_path / "case.cfg"
+        keep_case.write_text("lowercase = false\n", encoding="utf-8")
+        plain = self.outputs(paths, tmp_path / "plain", capsys)
+        assert plain == self.outputs(paths, tmp_path / "again", capsys)
+        for name, extra in (("stop", ("--stopwords", str(stopwords))),
+                            ("case", ("--config", str(keep_case)))):
+            changed = self.outputs(paths, tmp_path / name, capsys, *extra)
+            assert changed["w05-0622.c-lexrank.60.txt"] != plain["w05-0622.c-lexrank.60.txt"], name
+            assert changed["clusters.tsv"] != plain["clusters.tsv"], name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--out", "x.tsv", "--threshold", "0.9"],
+        ["cluster", "--out", "x.tsv", "--damping", "0.3"],
+        ["graph-stats", "--damping", "0.3"],
+        ["evaluate", "--metric", "rouge", "--candidate", "c.txt", "--references", "r.txt",
+         "--config", "run.cfg"],
+        ["evaluate", "--metric", "kappa", "--citations", "c.jsonl", "--spans-a", "a.tsv",
+         "--spans-b", "b.tsv", "--stopwords", "stop.txt"],
+    ],
+    ids=["cluster-threshold", "cluster-damping", "graph-stats-damping", "evaluate-config",
+         "evaluate-stopwords"],
+)
+def test_flags_that_change_no_output_are_usage_errors(argv, paths, capsys):
+    if argv[0] != "evaluate":
+        argv = [argv[0], "--in", paths["citations"], *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, paths, tmp_path, capsys):
         args = lambda d: [

@@ -1,7 +1,9 @@
-"""The fast CNM and BFS kernels against the plain-loop oracles, exactly.
+"""The fast kernels against the plain-loop oracles, exactly.
 
 Equality here is strict: the same partition with the same member order, Q
-compared with ``==``, and path statistics compared as exact tuples.
+compared with ``==``, path statistics compared as exact tuples, the
+clustering coefficient compared with ``==`` and the DivRank transitions
+with ``np.array_equal``.
 """
 
 import numpy as np
@@ -9,10 +11,22 @@ import pytest
 from conftest import make_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import average_shortest_path_oracle, cluster_cnm_oracle, cluster_visit_order_oracle
+from oracles import (
+    average_shortest_path_oracle,
+    cluster_cnm_oracle,
+    cluster_visit_order_oracle,
+    clustering_coefficient_oracle,
+    divrank_base_transitions_oracle,
+)
 
 from citesum.community import Clustering, block_sums, cluster_cnm, modularity
-from citesum.graph import BFS_BLOCK, average_shortest_path, build_citation_summary_network
+from citesum.graph import (
+    BFS_BLOCK,
+    average_shortest_path,
+    build_citation_summary_network,
+    clustering_coefficient,
+)
+from citesum.rank import _divrank_base_transitions
 from citesum.summarize import cluster_visit_order
 
 FAMILIES = ("uniform", "quantized", "sparse-binary")
@@ -132,3 +146,40 @@ def test_block_sums_and_visit_order_match_the_loops(family):
         assert cluster_visit_order(g, clustering) == cluster_visit_order_oracle(g, clustering)
         found = cluster_cnm(g)
         assert cluster_visit_order(g, found) == cluster_visit_order_oracle(g, found)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_clustering_coefficient_matches_oracle(family):
+    rng = np.random.default_rng(FAMILIES.index(family) + 401)
+    for _ in range(40):
+        g = random_graph(rng, int(rng.integers(1, 90)), family)
+        for threshold in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert clustering_coefficient(g, threshold) == clustering_coefficient_oracle(g, threshold)
+
+
+def test_clustering_coefficient_matches_oracle_on_fixture(nine_citations, nine_idf):
+    g = build_citation_summary_network(nine_citations, nine_idf)
+    for threshold in (0.0, 0.05, 0.1, 0.2):
+        assert clustering_coefficient(g, threshold) == clustering_coefficient_oracle(g, threshold)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_divrank_transitions_match_oracle(family):
+    rng = np.random.default_rng(FAMILIES.index(family) + 501)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        w = random_graph(rng, n, family).weights.copy()
+        isolated = rng.uniform(size=n) < 0.2  # zero-degree rows take the self-loop branch
+        w[isolated, :] = 0.0
+        w[:, isolated] = 0.0
+        g = make_graph(w)
+        alpha = float(rng.uniform(0.01, 0.99))
+        assert np.array_equal(
+            _divrank_base_transitions(g, alpha), divrank_base_transitions_oracle(g, alpha)
+        )
+
+
+def test_divrank_transitions_single_node():
+    g = make_graph([[0.0]])
+    assert np.array_equal(_divrank_base_transitions(g, 0.25), divrank_base_transitions_oracle(g, 0.25))
+    assert _divrank_base_transitions(g, 0.25).tolist() == [[1.0]]
