@@ -14,7 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CitationSet, IdfTable
-from .lexical import TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
+from .lexical import TokenizerConfig, tfidf_vector, tokenize
+
+POSTINGS_BLOCK = 64  # rows of one term's outer product added per step
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,52 @@ def build_citation_summary_network(
     place that reads terms, and weighted against ``idf``.  Permutation
     equivariant: permuting the input sentences permutes the rows and columns
     of the weight matrix identically.
+
+    The weights are the IEEE values of ``min(1.0, cosine_similarity(u, v))``
+    for every pair.  The dot products come from term postings: the terms
+    found in two or more sentences are visited in ``sorted()`` order, and
+    each adds the outer product of its weights into the cells of its
+    sentences, one add per cell.  So every pair starts from 0.0 and receives
+    the products of its common terms left to right in sorted term order, as
+    ``cosine_similarity`` adds them.  Each row is then divided by the product
+    of the two norms, rows and columns of zero-norm sentences are zeroed, and
+    the diagonal is cleared.  ``w[i, j]`` and ``w[j, i]`` see the same adds
+    and the same commuted norm product, so symmetry is exact.  No BLAS is
+    used, so the weights do not depend on the BLAS thread count.
+
+    Memory: one n x n float64 array, the result, plus per-term temporaries
+    of at most POSTINGS_BLOCK x k entries, k the term's sentence count.
     """
     if len(cs) == 0:
         raise ValueError("citation set is empty")
     vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
     n = len(vectors)
+    postings: dict[str, tuple[list[int], list[float]]] = {}
+    for i, v in enumerate(vectors):
+        for term, x in v.weights.items():
+            rows, xs = postings.setdefault(term, ([], []))
+            rows.append(i)
+            xs.append(x)
     w = np.zeros((n, n))
+    flat = w.reshape(-1)
+    for term in sorted(postings):
+        rows, xs = postings[term]
+        if len(rows) < 2:
+            continue
+        r = np.array(rows)
+        x = np.array(xs)
+        for start in range(0, len(r), POSTINGS_BLOCK):
+            block = slice(start, start + POSTINGS_BLOCK)
+            flat[r[block, None] * n + r] += np.multiply.outer(x[block], x)
+    norms = np.array([v.norm for v in vectors])
+    empty = norms == 0.0
+    safe = np.where(empty, 1.0, norms)
     for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = min(1.0, cosine_similarity(vectors[i], vectors[j]))
+        w[i] /= safe[i] * safe
+    w[empty, :] = 0.0
+    w[:, empty] = 0.0
+    np.minimum(w, 1.0, out=w)
+    np.fill_diagonal(w, 0.0)
     return SimilarityGraph(nodes=tuple(cs.ids), weights=w)
 
 
@@ -157,13 +196,8 @@ def to_dot(g: SimilarityGraph, threshold: float = 0.10) -> str:
     lines = ["graph citation_summary_network {"]
     for node in g.nodes:
         lines.append(f'  "{node}";')
-    adj = g.binarize(threshold)
-    n = len(g)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                lines.append(
-                    f'  "{g.nodes[i]}" -- "{g.nodes[j]}" [label="{g.weights[i, j]:.4f}"];'
-                )
+    # np.nonzero lists the upper triangle's edges in row-major order.
+    for i, j in zip(*np.nonzero(np.triu(g.binarize(threshold), 1))):
+        lines.append(f'  "{g.nodes[i]}" -- "{g.nodes[j]}" [label="{g.weights[i, j]:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -50,7 +50,9 @@ class TermVector:
     """Sparse non-negative term weights with a cached L2 norm.
 
     Zero-weight entries are never stored, so the cached norm stays consistent
-    with the weights map.
+    with the weights map.  The squares are added left to right with plain
+    float adds, not ``sum()``, which compensates its additions since Python
+    3.12: the norm has the same bits on every supported Python.
     """
 
     weights: dict[str, float]
@@ -59,7 +61,10 @@ class TermVector:
     @staticmethod
     def from_weights(weights: dict[str, float]) -> "TermVector":
         nonzero = {t: w for t, w in weights.items() if w != 0.0}
-        return TermVector(nonzero, math.sqrt(sum(w * w for w in nonzero.values())))
+        squares = 0.0
+        for w in nonzero.values():
+            squares += w * w
+        return TermVector(nonzero, math.sqrt(squares))
 
 
 def tfidf_vector(tokens: list[str] | tuple[str, ...], idf: IdfTable) -> TermVector:
@@ -71,11 +76,14 @@ def tfidf_vector(tokens: list[str] | tuple[str, ...], idf: IdfTable) -> TermVect
 def cosine_similarity(u: TermVector, v: TermVector) -> float:
     """dot(u,v) / (|u||v|), with 0.0 when either vector is empty.
 
-    Symmetric, scale invariant, and in [0,1] for non-negative weights.
+    Symmetric, scale invariant, and in [0,1] for non-negative weights.  The
+    products are added left to right in sorted term order with plain float
+    adds, the order the graph build reproduces.
     """
     if u.norm == 0.0 or v.norm == 0.0:
         return 0.0
     # Canonical term order keeps cos(u,v) == cos(v,u) bit-exact.
-    common = sorted(u.weights.keys() & v.weights.keys())
-    dot = sum(u.weights[t] * v.weights[t] for t in common)
+    dot = 0.0
+    for t in sorted(u.weights.keys() & v.weights.keys()):
+        dot += u.weights[t] * v.weights[t]
     return dot / (u.norm * v.norm)

@@ -1,12 +1,13 @@
 """Reference kernels the fast ones in ``citesum`` must match exactly.
 
 These are the plain-loop implementations of greedy modularity agglomeration,
-all-pairs BFS, the cluster visiting order, the clustering coefficient and the
-DivRank base transitions that the package shipped before its vectorized
-kernels.  They are kept verbatim as oracles: same partition, same member
-order, the same IEEE value of Q, the same path statistics, the same visiting
-order, the same coefficient and the same transition matrix.  Test use only;
-the first two are cubic in the node count.
+all-pairs BFS, the cluster visiting order, the clustering coefficient, the
+DivRank base transitions, the similarity graph build and the DOT export that
+the package shipped before its vectorized kernels.  They are kept verbatim as
+oracles: same partition, same member order, the same IEEE value of Q, the
+same path statistics, the same visiting order, the same coefficient, the
+same transition matrix, the same weights and the same DOT text.  Test use
+only; the first two are cubic in the node count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from collections import deque
 import numpy as np
 
 from citesum.community import Clustering, _clustering_from_members
+from citesum.corpus import CitationSet, IdfTable
 from citesum.graph import PathStats, SimilarityGraph
+from citesum.lexical import TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -154,3 +157,35 @@ def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndar
             p0[u, :] = alpha * w[u, :] / degrees[u]
             p0[u, u] = 1.0 - alpha
     return p0
+
+
+def build_citation_summary_network_oracle(
+    cs: CitationSet, idf: IdfTable, tokenizer: TokenizerConfig = TokenizerConfig()
+) -> SimilarityGraph:
+    """Pairwise TF-IDF cosine graph over the citation set, one cosine per pair."""
+    if len(cs) == 0:
+        raise ValueError("citation set is empty")
+    vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
+    n = len(vectors)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = min(1.0, cosine_similarity(vectors[i], vectors[j]))
+    return SimilarityGraph(nodes=tuple(cs.ids), weights=w)
+
+
+def to_dot_oracle(g: SimilarityGraph, threshold: float = 0.10) -> str:
+    """DOT rendering of the binarized graph; edge labels carry the raw weight."""
+    lines = ["graph citation_summary_network {"]
+    for node in g.nodes:
+        lines.append(f'  "{node}";')
+    adj = g.binarize(threshold)
+    n = len(g)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i, j]:
+                lines.append(
+                    f'  "{g.nodes[i]}" -- "{g.nodes[j]}" [label="{g.weights[i, j]:.4f}"];'
+                )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import citesum.cli
+import citesum.graph
 import citesum.summarize
+from citesum.lexical import tokenize
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,3 +58,18 @@ def test_summarizers_call_through_the_patched_names(method, fixture_paths, tmp_p
     )
     assert code == 0
     assert calls == [1]
+
+
+def test_graph_build_weighs_each_sentence_once(nine_citations, nine_idf, monkeypatch):
+    """The traced ``lexical.tokens`` count and ``lexical.tfidf`` span assume
+    one ``tfidf_vector`` call per sentence per build, looked up in ``citesum.graph``."""
+    calls = []
+    original = citesum.graph.tfidf_vector
+    monkeypatch.setattr(
+        citesum.graph,
+        "tfidf_vector",
+        lambda tokens, idf: calls.append(list(tokens)) or original(tokens, idf),
+    )
+    for _ in range(2):
+        citesum.graph.build_citation_summary_network(nine_citations, nine_idf)
+    assert calls == 2 * [tokenize(s.text) for s in nine_citations.sentences]

@@ -59,6 +59,11 @@ class TestTfidfVector:
         recomputed = sum(w * w for w in vec.weights.values()) ** 0.5
         assert abs(vec.norm - recomputed) <= 1e-9 * recomputed
 
+    def test_norm_adds_squares_left_to_right(self):
+        # 1e16 + 1 + 1 is 1e16 with plain adds; compensated summation (sum()
+        # since Python 3.12) gives 1e16 + 2, whose root is one ulp higher.
+        assert vec({"a": 1e8, "b": 1.0, "c": 1.0}).norm == 1e8
+
     def test_zero_weight_entries_dropped(self):
         idf = IdfTable({"a": 0.0, "b": 1.0}, default_idf=1.0)
         assert tfidf_vector(["a", "b"], idf).weights == {"b": 1.0}
@@ -80,6 +85,12 @@ class TestCosine:
         # dot = 1, norms = sqrt(2) and 1
         got = cosine_similarity(vec({"a": 1.0, "b": 1.0}), vec({"a": 1.0}))
         assert got == pytest.approx(2 ** -0.5, abs=1e-12)
+
+    def test_dot_adds_products_left_to_right(self):
+        # The same plain-add order as the graph build, on every Python.
+        u = vec({"a": 1e16, "b": 1.0, "c": 1.0})
+        got = cosine_similarity(u, vec({"a": 1.0, "b": 1.0, "c": 1.0}))
+        assert got == 1e16 / (1e16 * 3**0.5)
 
     def test_zero_norm_convention(self):
         assert cosine_similarity(vec({}), vec({"a": 1.0})) == 0.0
