@@ -35,7 +35,7 @@ from .graph import (
     clustering_coefficient,
     to_dot,
 )
-from .lexical import TermVector, TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
+from .lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
 from .rank import (
     Ordering,
     RankScores,
@@ -75,7 +75,6 @@ __all__ = [
     "c_rr_summary",
     "cluster_cnm",
     "clustering_coefficient",
-    "cosine_similarity",
     "divrank",
     "divrank_prior_from_length",
     "lexrank",

@@ -18,6 +18,7 @@ import tempfile
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
@@ -44,7 +45,6 @@ from .graph import average_shortest_path, build_citation_summary_network, cluste
 from .lexical import TokenizerConfig
 from .rank import (
     Ordering,
-    RankScores,
     divrank,
     divrank_prior_from_length,
     lexrank,
@@ -53,7 +53,6 @@ from .rank import (
     scores_to_tsv,
 )
 from .summarize import (
-    Summary,
     assemble_from_ordering,
     c_lexrank_summary,
     c_rr_summary,
@@ -61,36 +60,47 @@ from .summarize import (
 )
 
 
-def _by_scores(cs, scores: RankScores, method: str, budget: int) -> tuple[Summary, RankScores]:
-    order = Ordering(tuple(scores.ranked_ids()), method)
-    return assemble_from_ordering(cs, order, budget), scores
+class Summarizer(NamedTuple):
+    """One ``--method``: ``run(cs, graph, cfg, budget, seed)`` returns the summary
+    and the scores it ranked by, or None unless ``yields_scores``."""
+
+    run: Callable
+    needs_seed: bool = False
+    yields_scores: bool = False
 
 
-# method -> fn(cs, graph, cfg, budget, seed) -> (summary, the scores it ranked by or None).
+def _by_scores(solve) -> Summarizer:
+    """The method that packs sentences in the order of ``solve(cs, graph, cfg)``'s scores."""
+
+    def run(cs, g, cfg, budget, seed):
+        scores = solve(cs, g, cfg)
+        order = Ordering(tuple(scores.ranked_ids()), scores.method)
+        return assemble_from_ordering(cs, order, budget), scores
+
+    return Summarizer(run, yields_scores=True)
+
+
 # The lambdas look the summarizers up in this module when called, never at import.
 SUMMARIZERS = {
-    "c-lexrank": lambda cs, g, cfg, budget, seed: (c_lexrank_summary(cs, g, budget, cfg), None),
-    "c-rr": lambda cs, g, cfg, budget, seed: (c_rr_summary(cs, g, budget, seed), None),
-    "lexrank": lambda cs, g, cfg, budget, seed: _by_scores(
-        cs, lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping), "lexrank", budget
+    "c-lexrank": Summarizer(lambda cs, g, cfg, budget, seed: (c_lexrank_summary(cs, g, budget, cfg), None)),
+    "c-rr": Summarizer(
+        lambda cs, g, cfg, budget, seed: (c_rr_summary(cs, g, budget, seed), None), needs_seed=True
     ),
-    "mmr": lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, mmr_order(g), budget), None),
-    "divrank": lambda cs, g, cfg, budget, seed: _by_scores(
-        cs, divrank(g, cfg.divrank_lambda, cfg.divrank_alpha), "divrank", budget
+    "lexrank": _by_scores(lambda cs, g, cfg: lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping)),
+    "mmr": Summarizer(
+        lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, mmr_order(g), budget), None)
     ),
-    "divrank-prior": lambda cs, g, cfg, budget, seed: _by_scores(
-        cs,
-        divrank(g, cfg.divrank_lambda, cfg.divrank_alpha, divrank_prior_from_length(cs, cfg.divrank_beta)),
-        "divrank-prior",
-        budget,
+    "divrank": _by_scores(lambda cs, g, cfg: divrank(g, cfg.divrank_lambda, cfg.divrank_alpha)),
+    "divrank-prior": _by_scores(
+        lambda cs, g, cfg: divrank(
+            g, cfg.divrank_lambda, cfg.divrank_alpha, divrank_prior_from_length(cs, cfg.divrank_beta)
+        )
     ),
-    "random": lambda cs, g, cfg, budget, seed: (
-        assemble_from_ordering(cs, random_order(cs, seed), budget), None
+    "random": Summarizer(
+        lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, random_order(cs, seed), budget), None),
+        needs_seed=True,
     ),
 }
-METHODS = tuple(SUMMARIZERS)
-STOCHASTIC_METHODS = {"c-rr", "random"}
-RANKING_METHODS = {"lexrank", "divrank", "divrank-prior"}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -142,14 +152,16 @@ def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
 def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.budget <= 0:
         parser.error("--budget must be positive")
-    if args.method in STOCHASTIC_METHODS and args.seed is None:
+    method = SUMMARIZERS[args.method]
+    if method.needs_seed and args.seed is None:
         parser.error(f"--seed is required for method {args.method} (no wall-clock seeding)")
     if args.trials is not None and args.method != "random":
         parser.error("--trials is only valid with --method random")
     if args.trials is not None and args.trials <= 0:
         parser.error("--trials must be positive")
-    if args.scores_out and args.method not in RANKING_METHODS:
-        parser.error(f"--scores-out is only valid for {sorted(RANKING_METHODS)}")
+    if args.scores_out and not method.yields_scores:
+        ranking = sorted(name for name, m in SUMMARIZERS.items() if m.yields_scores)
+        parser.error(f"--scores-out is only valid for {ranking}")
 
     timings = _Timings()
     cfg = _resolve_config(args)
@@ -172,7 +184,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary, scores = SUMMARIZERS[args.method](cs, graph, cfg, args.budget, seed)
+        summary, scores = method.run(cs, graph, cfg, args.budget, seed)
         suffix = f".t{trial:03d}" if trials > 1 else ""
         base = f"{stem}.{args.method}.{args.budget}{suffix}"
         outputs[f"{base}.txt"] = summary.to_text()
@@ -185,7 +197,10 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         extra_writes.append((Path(args.scores_out), scores_to_tsv(scores)))
 
     if reports:
-        mean = sum(r.pyramid_score for r in reports) / len(reports)
+        total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
+        for r in reports:
+            total += r.pyramid_score
+        mean = total / len(reports)
         tsv = report_to_tsv(reports)
         tsv += f"# mean_pyramid={mean:.6f}\n"
         outputs[f"{stem}.{args.method}.{args.budget}.report.tsv"] = tsv
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--damping", type=float, dest="lexrank_damping", metavar="DAMPING",
         help="teleport damping for LexRank",
     )
-    p_sum.add_argument("--method", required=True, choices=METHODS)
+    p_sum.add_argument("--method", required=True, choices=tuple(SUMMARIZERS))
     p_sum.add_argument("--budget", type=int, required=True, help="summary budget in words")
     p_sum.add_argument("--seed", type=int, help="required for stochastic methods")
     p_sum.add_argument("--trials", type=int, help="repeat count for --method random")

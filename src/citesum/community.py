@@ -28,9 +28,6 @@ class Clustering:
         if indices != set(range(self.g)):
             raise ValueError(f"cluster indices must be dense 0..{self.g - 1}, got {sorted(indices)}")
 
-    def members(self, cluster: int) -> list[str]:
-        return [node for node, c in self.assignment.items() if c == cluster]
-
     def clusters(self) -> list[list[str]]:
         out: list[list[str]] = [[] for _ in range(self.g)]
         for node, c in self.assignment.items():
@@ -228,8 +225,11 @@ def nmi(clustering: Clustering, classes: dict[str, str]) -> float:
         class_sizes[cj] = class_sizes.get(cj, 0) + 1
         joint[(ck, cj)] = joint.get((ck, cj), 0) + 1
 
-    h_clusters = -sum(s / n * math.log(s / n) for s in cluster_sizes.values())
-    h_classes = -sum(s / n * math.log(s / n) for s in class_sizes.values())
+    h_clusters = h_classes = 0.0  # plain left-to-right adds: sum() compensates since 3.12
+    for s in cluster_sizes.values():
+        h_clusters -= s / n * math.log(s / n)
+    for s in class_sizes.values():
+        h_classes -= s / n * math.log(s / n)
     if h_clusters == 0.0 and h_classes == 0.0:
         return 1.0
     mutual = 0.0

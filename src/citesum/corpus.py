@@ -8,7 +8,7 @@ File formats (all UTF-8, line oriented):
   - nugget spans: TSV rows ``annotator<TAB>sentence_id<TAB>start<TAB>end`` where
     start/end are byte offsets into the UTF-8 encoding of the sentence text and
     must fall on codepoint boundaries.
-  - IDF table: TSV rows ``term<TAB>idf``, each idf finite and non-negative.
+  - IDF table: TSV rows ``term<TAB>idf``, one per term, each idf finite and non-negative.
   - reference summary: plain text, one summary per file.
   - run configuration: ``key = value`` lines naming RunConfig fields.
 
@@ -59,7 +59,6 @@ class Sentence:
 class CitationSet:
     """Ordered sentences about one target paper."""
 
-    target_id: str
     sentences: tuple[Sentence, ...]
 
     def __post_init__(self):
@@ -245,7 +244,7 @@ def _tsv_rows(path: str | Path, fields: tuple[str, ...]):
         yield lineno, cells
 
 
-def load_citation_set(path: str | Path, target_id: str | None = None) -> CitationSet:
+def load_citation_set(path: str | Path) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
@@ -281,19 +280,7 @@ def load_citation_set(path: str | Path, target_id: str | None = None) -> Citatio
         )
     if not sentences:
         raise ValidationError(f"{path}: no sentences")
-    return CitationSet(
-        target_id=target_id if target_id is not None else path.stem,
-        sentences=tuple(sentences),
-    )
-
-
-def save_citation_set(cs: CitationSet, path: str | Path) -> None:
-    """Inverse of load_citation_set: JSON lines in sentence order."""
-    lines = [
-        json.dumps({"id": s.id, "text": s.text, "source_doc": s.source_doc}, ensure_ascii=False)
-        for s in cs.sentences
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return CitationSet(sentences=tuple(sentences))
 
 
 def load_factoid_annotation(path: str | Path, cs: CitationSet) -> FactoidAnnotation:
@@ -374,7 +361,7 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def load_idf_table(path: str | Path) -> IdfTable:
-    """Load ``term<TAB>idf`` rows; unseen terms default to the max observed idf."""
+    """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf."""
     values: dict[str, float] = {}
     for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf")):
         value_s = value_s.strip()
@@ -386,6 +373,8 @@ def load_idf_table(path: str | Path) -> IdfTable:
             raise ValidationError(f"{path}:{lineno}: non-finite idf {value_s!r} for term {term!r}")
         if value < 0:
             raise ValidationError(f"{path}:{lineno}: negative idf {value} for term {term!r}")
+        if term in values:
+            raise ValidationError(f"{path}:{lineno}: repeated idf term {term!r}")
         values[term] = value
     if not values:
         raise ValidationError(f"{path}: empty idf table")

@@ -241,7 +241,10 @@ def rouge_n(
     for held_out in range(len(refs)):
         held_in = [ref for i, ref in enumerate(refs) if i != held_out]
         holdout_scores.append(max(_single_reference_recall(cand, ref) for ref in held_in))
-    return sum(holdout_scores) / len(holdout_scores)
+    total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
+    for score in holdout_scores:
+        total += score
+    return total / len(holdout_scores)
 
 
 def report_to_tsv(reports: list[EvalReport]) -> str:

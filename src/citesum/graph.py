@@ -71,11 +71,12 @@ def build_citation_summary_network(
     of the weight matrix identically.
 
     The weights are the IEEE values of ``min(1.0, cosine_similarity(u, v))``
-    for every pair.  The dot products come from term postings: the terms
-    found in two or more sentences are visited in ``sorted()`` order, and
-    each adds the outer product of its weights into the cells of its
-    sentences, one add per cell.  So every pair starts from 0.0 and receives
-    the products of its common terms left to right in sorted term order, as
+    for every pair, the one-pair loop in ``tests/oracles.py``.  The dot
+    products come from term postings: the terms found in two or more
+    sentences are visited in ``sorted()`` order, and each adds the outer
+    product of its weights into the cells of its sentences, one add per
+    cell.  So every pair starts from 0.0 and receives the products of its
+    common terms left to right in sorted term order, as the oracle's
     ``cosine_similarity`` adds them.  Each row is then divided by the product
     of the two norms, rows and columns of zero-norm sentences are zeroed, and
     the diagonal is cleared.  ``w[i, j]`` and ``w[j, i]`` see the same adds

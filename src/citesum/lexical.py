@@ -1,9 +1,10 @@
-"""Tokenization, TF-IDF term vectors, and cosine similarity.
+"""Tokenization and TF-IDF term vectors.
 
 The default tokenizer lowercases, strips non-alphanumeric characters inside
 each whitespace token, and removes nothing else; stopword removal is opt-in.
 No stemming, so results are reproducible without external linguistic
-resources.
+resources.  The graph build (``citesum.graph``) takes the cosine of all pairs
+at once; the one-pair ``cosine_similarity`` it equals is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -71,19 +72,3 @@ def tfidf_vector(tokens: list[str] | tuple[str, ...], idf: IdfTable) -> TermVect
     """weight(term) = raw in-sentence count x idf(term)."""
     counts = Counter(tokens)
     return TermVector.from_weights({t: c * idf.idf(t) for t, c in counts.items()})
-
-
-def cosine_similarity(u: TermVector, v: TermVector) -> float:
-    """dot(u,v) / (|u||v|), with 0.0 when either vector is empty.
-
-    Symmetric, scale invariant, and in [0,1] for non-negative weights.  The
-    products are added left to right in sorted term order with plain float
-    adds, the order the graph build reproduces.
-    """
-    if u.norm == 0.0 or v.norm == 0.0:
-        return 0.0
-    # Canonical term order keeps cos(u,v) == cos(v,u) bit-exact.
-    dot = 0.0
-    for t in sorted(u.weights.keys() & v.weights.keys()):
-        dot += u.weights[t] * v.weights[t]
-    return dot / (u.norm * v.norm)

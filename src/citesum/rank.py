@@ -158,7 +158,9 @@ def divrank_prior_from_length(cs: CitationSet, beta: float = 0.1) -> dict[str, f
     word so the power stays defined.
     """
     raw = {s.id: max(s.word_count, 1) ** (-beta) for s in cs.sentences}
-    total = sum(raw.values())
+    total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
+    for v in raw.values():
+        total += v
     return {sid: v / total for sid, v in raw.items()}
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .community import Clustering, block_sums, cluster_cnm
-from .corpus import CitationSet, RunConfig
+from .corpus import CitationSet, DataError, RunConfig
 from .graph import SimilarityGraph
 from .rank import Ordering, lexrank
 
@@ -110,14 +111,20 @@ def cluster_visit_order(g: SimilarityGraph, clustering: Clustering) -> list[int]
     return sorted(range(clustering.g), key=lambda c: (-sizes[c], -internal[c], c))
 
 
+def _cluster_members(g: SimilarityGraph, clustering: Clustering) -> list[list[int]]:
+    """Each cluster's node indices in input order, from one pass over the nodes."""
+    members: list[list[int]] = [[] for _ in range(clustering.g)]
+    for i, node in enumerate(g.nodes):
+        members[clustering.assignment[node]].append(i)
+    return members
+
+
 def _clustered_rankings(
     g: SimilarityGraph, clustering: Clustering, cfg: RunConfig
 ) -> dict[int, list[str]]:
     """Within-cluster salience orderings on the induced binarized subgraphs."""
-    node_index = {node: i for i, node in enumerate(g.nodes)}
     rankings: dict[int, list[str]] = {}
-    for c, members in enumerate(clustering.clusters()):
-        idx = sorted(node_index[node] for node in members)  # keep input order
+    for c, idx in enumerate(_cluster_members(g, clustering)):
         sub = g.induced_subgraph(idx)
         scores = lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
         rankings[c] = scores.ranked_ids()
@@ -169,23 +176,18 @@ def c_rr_summary(
     """Same cluster visiting order, but uniform seeded picks within clusters."""
     clustering = clustering or cluster_cnm(g)
     visit = cluster_visit_order(g, clustering)
-    node_index = {node: i for i, node in enumerate(g.nodes)}
+    members = _cluster_members(g, clustering)
     rng = random.Random(seed)
     shuffled: dict[int, list[str]] = {}
     for c in visit:
-        members = sorted(clustering.members(c), key=lambda node: node_index[node])
-        rng.shuffle(members)
-        shuffled[c] = members
+        shuffled[c] = [g.nodes[i] for i in members[c]]
+        rng.shuffle(shuffled[c])
     order = Ordering(tuple(_round_robin(visit, shuffled)), "c-rr")
     return assemble_from_ordering(cs, order, budget)
 
 
 def summary_from_json(path) -> Summary:
     """Read back the machine form written by Summary.to_json."""
-    from pathlib import Path
-
-    from .corpus import DataError
-
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         entries = tuple(

@@ -79,4 +79,4 @@ def toy_citation_set(texts: list[str], ids: list[str] | None = None) -> Citation
         )
         for sid, text in zip(ids, texts)
     )
-    return CitationSet(target_id="toy", sentences=sentences)
+    return CitationSet(sentences=sentences)

@@ -2,12 +2,13 @@
 
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
-DivRank base transitions, the similarity graph build and the DOT export that
-the package shipped before its vectorized kernels.  They are kept verbatim as
-oracles: same partition, same member order, the same IEEE value of Q, the
-same path statistics, the same visiting order, the same coefficient, the
-same transition matrix, the same weights and the same DOT text.  Test use
-only; the first two are cubic in the node count.
+DivRank base transitions, the similarity graph build with its one-pair
+cosine, and the DOT export that the package shipped before its vectorized
+kernels.  They are kept verbatim as oracles: same partition, same member
+order, the same IEEE value of Q, the same path statistics, the same visiting
+order, the same coefficient, the same transition matrix, the same weights
+and the same DOT text.  Test use only; the first two are cubic in the node
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from citesum.community import Clustering, _clustering_from_members
 from citesum.corpus import CitationSet, IdfTable
 from citesum.graph import PathStats, SimilarityGraph
-from citesum.lexical import TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
+from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -157,6 +158,22 @@ def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndar
             p0[u, :] = alpha * w[u, :] / degrees[u]
             p0[u, u] = 1.0 - alpha
     return p0
+
+
+def cosine_similarity(u: TermVector, v: TermVector) -> float:
+    """dot(u,v) / (|u||v|), with 0.0 when either vector is empty.
+
+    Symmetric, scale invariant, and in [0,1] for non-negative weights.  The
+    products are added left to right in sorted term order with plain float
+    adds, the order the graph build reproduces.
+    """
+    if u.norm == 0.0 or v.norm == 0.0:
+        return 0.0
+    # Canonical term order keeps cos(u,v) == cos(v,u) bit-exact.
+    dot = 0.0
+    for t in sorted(u.weights.keys() & v.weights.keys()):
+        dot += u.weights[t] * v.weights[t]
+    return dot / (u.norm * v.norm)
 
 
 def build_citation_summary_network_oracle(

@@ -377,7 +377,7 @@ def synthetic_citation_set(rng: random.Random, index: int):
                 )
             )
             mapping[f"s{sid}"] = frozenset({f"f{c}"}) if informative else frozenset()
-    cs = CitationSet(target_id=f"synthetic{index}", sentences=tuple(sentences))
+    cs = CitationSet(sentences=tuple(sentences))
     ann = FactoidAnnotation(
         factoid_ids=frozenset(f"f{c}" for c in range(communities)),
         sentence_factoids=mapping,

@@ -43,7 +43,7 @@ def test_cnm_recorder_targets_exist(module):
     assert callable(module.cluster_cnm)
 
 
-@pytest.mark.parametrize("method", citesum.cli.METHODS)
+@pytest.mark.parametrize("method", citesum.cli.SUMMARIZERS)
 def test_summarizers_call_through_the_patched_names(method, fixture_paths, tmp_path, monkeypatch):
     """The CLI looks each summarizer up in its module at call time."""
     calls = []

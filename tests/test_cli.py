@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, file outputs, error mapping."""
 
 import json
+import math
 
 import pytest
 
 from citesum.cli import main
+from citesum.evaluate import EvalReport
 
 
 @pytest.fixture()
@@ -67,6 +69,22 @@ class TestSummarize:
                 main(["summarize", "--in", paths["citations"], "--method", method,
                       "--budget", "100"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "method", ["c-lexrank", "c-rr", "lexrank", "mmr", "divrank", "divrank-prior", "random"]
+    )
+    def test_which_methods_need_a_seed_and_give_scores(self, method, paths, tmp_path, capsys):
+        def exit_code(*extra):
+            argv = ["summarize", "--in", paths["citations"], "--method", method,
+                    "--budget", "20", "--out-dir", str(tmp_path), *extra]
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+
+        assert exit_code() == (2 if method in ("c-rr", "random") else 0)
+        scores = exit_code("--seed", "1", "--scores-out", str(tmp_path / "scores.tsv"))
+        assert scores == (0 if method in ("lexrank", "divrank", "divrank-prior") else 2)
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -146,6 +164,41 @@ class TestSummarize:
         report = (tmp_path / "w05-0622.random.100.report.tsv").read_text()
         assert report.count("\nrandom\t") == 5
         assert "# mean_pyramid=" in report
+
+    def test_mean_pyramid_adds_left_to_right(self, paths, tmp_path, capsys, monkeypatch):
+        import citesum.cli as cli
+
+        # The double 0.1234565 lies just below the six-decimal boundary, and the
+        # next double up prints as 0.123457.  With plain adds the four scores
+        # total 4 * 0.1234565; their exact sum, which compensated summation
+        # (sum() since Python 3.12, or math.fsum) returns, is one ulp higher.
+        top = 4 * 0.1234565
+        tiny = 0.4 * math.ulp(top)
+        scores = iter([top, tiny, tiny, 0.0])
+        monkeypatch.setattr(
+            cli, "pyramid_score",
+            lambda summary, ann, pyr: EvalReport("random", 20, next(scores), 0, 0, 0),
+        )
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--method", "random", "--budget", "20",
+             "--seed", "1", "--trials", "4", "--annotations", paths["factoids"],
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        report = (tmp_path / "w05-0622.random.20.report.tsv").read_text()
+        assert report.endswith("# mean_pyramid=0.123456\n")
+
+    def test_repeated_idf_term_is_data_error(self, paths, tmp_path, capsys):
+        idf = tmp_path / "idf.tsv"
+        idf.write_text("parsing\t2.0\nparsing\t3.0\n", encoding="utf-8")
+        code, _, err = run(
+            ["summarize", "--in", paths["citations"], "--idf", str(idf), "--method", "lexrank",
+             "--budget", "20", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "idf.tsv:2: repeated idf term 'parsing'" in err
 
     def test_every_method_runs(self, paths, tmp_path, capsys):
         for method in ("c-lexrank", "c-rr", "lexrank", "mmr", "divrank", "divrank-prior", "random"):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import make_graph, symmetric_random_graph
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from citesum.community import Clustering, cluster_cnm, clustering_to_tsv, modularity, nmi, purity
 from citesum.graph import SimilarityGraph
@@ -145,7 +147,7 @@ class TestClusterCnm:
         g = two_triangles()
         c = cluster_cnm(g)
         assert c.g == 2
-        groups = {frozenset(c.members(i)) for i in range(c.g)}
+        groups = {frozenset(members) for members in c.clusters()}
         assert groups == {frozenset(["n0", "n1", "n2"]), frozenset(["n3", "n4", "n5"])}
         # exhaustive search confirms this is the max-Q partition
         best = max(
@@ -220,6 +222,13 @@ class TestPurityNmi:
         c = clustering_from_blocks([["a", "b"]])
         assert nmi(c, {"a": "x", "b": "x"}) == 1.0
 
+    def test_entropies_add_left_to_right(self):
+        # Compensated summation of the entropies (sum() since Python 3.12, or
+        # math.fsum) gives 0.1809948690450145, one ulp lower.
+        c = clustering_from_blocks([["a"], ["b", "c", "d", "e", "f"]])
+        classes = {"a": "x", "b": "y", "c": "y", "d": "x", "e": "x", "f": "z"}
+        assert nmi(c, classes) == 0.18099486904501452
+
     def test_matches_oracle_over_all_partitions(self):
         items = ["a", "b", "c", "d", "e"]
         all_blocks = list(set_partitions(items))
@@ -235,6 +244,49 @@ class TestPurityNmi:
                 got = nmi(c, classes)
                 assert got == pytest.approx(nmi_oracle(cluster_blocks, classes), abs=1e-12)
                 assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def permuted_random_graphs(draw):
+    """Uniform weights from a drawn seed, so no two merge gains tie, and a node permutation."""
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, size=(n, n))
+    w = np.triu(w, 1) * (rng.uniform(size=(n, n)) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    return make_graph(w + w.T), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(permuted_random_graphs())
+def test_property_cnm_is_permutation_equivariant(case):
+    g, perm = case
+    permuted = make_graph(g.weights[np.ix_(perm, perm)], [g.nodes[i] for i in perm])
+    a, b = cluster_cnm(g), cluster_cnm(permuted)
+    assert {frozenset(m) for m in a.clusters()} == {frozenset(m) for m in b.clusters()}
+    # The weight totals are added in node order, so Q may move in the last bits.
+    assert abs(a.q - b.q) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def networkx():
+    return pytest.importorskip("networkx")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(permuted_random_graphs(), st.lists(st.integers(0, 3), min_size=16, max_size=16))
+def test_property_modularity_matches_networkx(networkx, case, labels):
+    g, _ = case
+    assume(g.weights.sum() > 0.0)
+    assignment = {node: labels[i] for i, node in enumerate(g.nodes)}
+    nx_graph = networkx.Graph()
+    nx_graph.add_nodes_from(g.nodes)
+    for i, j in zip(*np.nonzero(np.triu(g.weights, 1))):
+        nx_graph.add_edge(g.nodes[i], g.nodes[j], weight=g.weights[i, j])
+    communities = [
+        {node for node, label in assignment.items() if label == c} for c in set(labels[: len(g)])
+    ]
+    expected = networkx.community.modularity(nx_graph, communities, weight="weight")
+    assert abs(modularity(g, assignment) - expected) <= 1e-12
 
 
 def test_clustering_tsv_export():

@@ -13,7 +13,6 @@ from citesum.corpus import (
     load_nugget_spans,
     load_run_config,
     load_stopwords,
-    save_citation_set,
     RunConfig,
 )
 
@@ -83,12 +82,6 @@ class TestCitationSet:
         with pytest.raises(ValidationError, match=":2: .*must be strings"):
             load_citation_set(path)
 
-    def test_round_trip(self, tmp_path, nine_citations):
-        out = tmp_path / "round.jsonl"
-        save_citation_set(nine_citations, out)
-        again = load_citation_set(out, target_id=nine_citations.target_id)
-        assert again == nine_citations
-
 
 class TestFactoidAnnotation:
     def test_table_fixture(self, nine_citations, nine_factoids):
@@ -134,6 +127,11 @@ class TestIdfTable:
     def test_non_finite_idf_rejected(self, tmp_path, value):
         path = write(tmp_path, "idf.tsv", f"the\t0.5\nw\t{value}\n")
         with pytest.raises(ValidationError, match=":2: non-finite idf"):
+            load_idf_table(path)
+
+    def test_repeated_term_rejected(self, tmp_path):
+        path = write(tmp_path, "idf.tsv", "the\t0.5\nw\t1.0\n# note\nw\t2.0\n")
+        with pytest.raises(ValidationError, match=r":4: repeated idf term 'w'"):
             load_idf_table(path)
 
     def test_direct_construction_validates(self):

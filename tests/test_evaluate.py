@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 from conftest import toy_citation_set
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from citesum.corpus import DataError, FactoidAnnotation, NuggetSpanAnnotation
 from citesum.evaluate import (
@@ -279,6 +281,12 @@ class TestRougeN:
         assert rouge_n(cand, refs, n=1, jackknife=True) == pytest.approx(0.75, abs=1e-12)
         assert rouge_n(cand, refs, n=2, jackknife=True) == pytest.approx(0.6, abs=1e-12)
 
+    def test_jackknife_mean_adds_left_to_right(self):
+        # Ten holdout scores of 0.1 add to 0.9999999999999999 with plain adds;
+        # compensated summation (sum() since Python 3.12, or math.fsum) gives 1.0.
+        refs = ["a b c d e f g h i j"] * 10
+        assert rouge_n("a", refs, n=1, jackknife=True) == 0.9999999999999999 / 10
+
     def test_empty_reference_rejected(self):
         with pytest.raises(DataError, match="empty"):
             rouge_n("a", ["a", "  "], n=1)
@@ -297,3 +305,49 @@ def test_report_tsv_layout(table_cs):
     header, row = tsv.strip().splitlines()
     assert header.split("\t")[:3] == ["method", "budget", "pyramid"]
     assert row.split("\t")[0] == "test"
+
+
+WORDS = st.sampled_from(["a", "bb", "ccc", "dé", "e"])
+
+
+@st.composite
+def annotated_summaries(draw):
+    texts = draw(st.lists(st.lists(WORDS, max_size=8).map(" ".join), min_size=1, max_size=10))
+    cs = toy_citation_set(texts)
+    factoids = st.sets(st.sampled_from(["f1", "f2", "f3", "f4"]), max_size=3)
+    ann = annotation({sid: draw(factoids) for sid in cs.ids})
+    order = Ordering(tuple(draw(st.permutations(cs.ids))), "test")
+    return assemble_from_ordering(cs, order, draw(st.integers(1, 40))), ann
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(annotated_summaries())
+def test_property_pyramid_score_in_unit_interval(case):
+    summary, ann = case
+    report = pyramid_score(summary, ann, build_pyramid(ann))
+    assert 0.0 <= report.pyramid_score <= 1.0
+    assert report.weight_covered <= report.weight_optimal
+
+
+@st.composite
+def two_annotators(draw):
+    texts = draw(st.lists(st.lists(WORDS, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=6))
+    cs = toy_citation_set(texts)
+
+    def marks(name):
+        mapping = {}
+        for s in cs.sentences:
+            size = len(s.text.encode("utf-8"))
+            cuts = sorted(draw(st.sets(st.integers(0, size), max_size=4)))
+            mapping[s.id] = [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2])]
+        return spans(name, mapping)
+
+    return cs, marks("a"), marks("b")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(two_annotators(), st.integers(1, 3), st.sampled_from(["cohen", "scott", "uniform"]))
+def test_property_kappa_is_symmetric(case, n, model):
+    cs, a, b = case
+    assume(any(s.word_count >= n for s in cs.sentences))
+    assert ngram_kappa(a, b, cs, n, model) == ngram_kappa(b, a, cs, n, model)

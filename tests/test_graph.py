@@ -80,10 +80,7 @@ class TestBuild:
         g = build_citation_summary_network(nine_citations, nine_idf)
         rng = np.random.default_rng(5)
         perm = rng.permutation(len(nine_citations))
-        permuted = CitationSet(
-            target_id=nine_citations.target_id,
-            sentences=tuple(nine_citations.sentences[i] for i in perm),
-        )
+        permuted = CitationSet(sentences=tuple(nine_citations.sentences[i] for i in perm))
         g_perm = build_citation_summary_network(permuted, nine_idf)
         assert np.array_equal(g_perm.weights, g.weights[np.ix_(perm, perm)])
 

@@ -322,7 +322,7 @@ PERMUTATION_IDF = IdfTable(
 def test_property_graph_build_is_permutation_equivariant(corpus):
     texts, perm = corpus
     cs = toy_citation_set(texts)
-    permuted = CitationSet(target_id=cs.target_id, sentences=tuple(cs.sentences[i] for i in perm))
+    permuted = CitationSet(sentences=tuple(cs.sentences[i] for i in perm))
     g = build_citation_summary_network(cs, PERMUTATION_IDF)
     g_perm = build_citation_summary_network(permuted, PERMUTATION_IDF)
     assert g_perm.nodes == tuple(g.nodes[i] for i in perm)

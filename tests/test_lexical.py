@@ -1,11 +1,12 @@
-"""Tokenizer, TF-IDF weighting, and cosine similarity."""
+"""Tokenizer, TF-IDF weighting, and the one-pair cosine oracle in ``tests/oracles.py``."""
 
 import random
 
 import pytest
+from oracles import cosine_similarity
 
 from citesum.corpus import IdfTable, uniform_idf
-from citesum.lexical import TermVector, TokenizerConfig, cosine_similarity, tfidf_vector, tokenize
+from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
 
 
 class TestTokenize:

@@ -202,6 +202,13 @@ class TestLengthPrior:
         prior = divrank_prior_from_length(cs, beta=0.1)
         assert prior["s1"] > prior["s2"]
 
+    def test_total_adds_left_to_right(self):
+        # beta = -8 weighs 100 words as 1e16 and one word as 1.0.  1e16 + 1 + 1
+        # is 1e16 with plain adds; compensated summation (sum() since Python
+        # 3.12, or math.fsum) gives 1e16 + 2 and shifts every value by an ulp.
+        cs = toy_citation_set(["w " * 100, "w", "w"])
+        assert divrank_prior_from_length(cs, beta=-8.0) == {"s1": 1.0, "s2": 1e-16, "s3": 1e-16}
+
 
 class TestMmr:
     def test_single_node(self):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 from conftest import make_graph, toy_citation_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from citesum.cli import SUMMARIZERS
 from citesum.community import Clustering
 from citesum.corpus import RunConfig, uniform_idf
 from citesum.graph import build_citation_summary_network
@@ -120,9 +123,8 @@ class TestCLexrank:
         clustering = cluster_cnm(fixture_graph)
         summary = c_lexrank_summary(nine_citations, fixture_graph, 200)
         chosen_clusters = {clustering.assignment[sid] for sid in summary.sentence_ids}
-        sizes = sorted(
-            range(clustering.g), key=lambda c: -len(clustering.members(c))
-        )
+        clusters = clustering.clusters()
+        sizes = sorted(range(clustering.g), key=lambda c: -len(clusters[c]))
         affordable = sizes[: len(summary.sentence_ids)]
         assert set(affordable) <= chosen_clusters
 
@@ -189,3 +191,24 @@ class TestBaselineAssembly:
             c_lexrank_summary(nine_citations, fixture_graph, budget).total_words <= budget
             for budget in (10, 50, 100, 400)
         )
+
+
+@st.composite
+def corpora_with_budgets(draw):
+    words = st.sampled_from(["tree", "Parse", "crf", "of", "model", "w1", "w2", "w3"])
+    texts = draw(st.lists(st.lists(words, max_size=10).map(" ".join), min_size=1, max_size=12))
+    return texts, draw(st.integers(1, 60)), draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(corpora_with_budgets())
+def test_property_every_summarizer_fits_its_budget(case):
+    texts, budget, seed = case
+    cs = toy_citation_set(texts)
+    g = build_citation_summary_network(cs, uniform_idf())
+    for method, summarizer in SUMMARIZERS.items():
+        summary, _ = summarizer.run(cs, g, RunConfig(), budget, seed)
+        assert summary.total_words <= budget, method
+        assert summary.total_words == sum(e.words for e in summary.entries), method
+        assert len(set(summary.sentence_ids)) == len(summary.sentence_ids), method
+        assert not any(e.truncated for e in summary.entries[:-1]), method
