@@ -115,16 +115,26 @@ def divrank(
     Uses the cumulative approximation: the running score stands in for the
     visit count, so each sweep redistributes mass toward already-heavy nodes
     while the (1-lam) teleport keeps the prior in play.  Uniform prior when
-    none is supplied.
+    none is supplied; a supplied prior must be finite and non-negative, not
+    all zero, and name only nodes of ``g`` (a node it omits gets 0).
+
+    The reinforced product leaves out nodes with ``p == 0`` or ``d == 0``,
+    where ``p / d`` is undefined.  It runs masked only when there is such a
+    node, which takes a prior with zeros: a positive prior keeps ``p > 0``,
+    and then ``d > 0``, since every row of the base transitions sums to 1.
     """
     n = len(g)
     if prior is None:
         p_star = np.full(n, 1.0 / n)
     else:
+        unknown = prior.keys() - set(g.nodes)
+        if unknown:
+            raise ValueError(f"prior names ids not in the graph: {sorted(unknown)}")
         p_star = np.array([float(prior.get(node, 0.0)) for node in g.nodes])
-        if np.any(p_star < 0.0) or p_star.sum() <= 0.0:
-            raise ValueError("prior must be non-negative and not all zero")
-        p_star = p_star / p_star.sum()
+        total = p_star.sum()  # NaN or inf when any value is
+        if not np.isfinite(total) or np.any(p_star < 0.0) or total <= 0.0:
+            raise ValueError("prior must be finite, non-negative and not all zero")
+        p_star = p_star / total
 
     p0 = _divrank_base_transitions(g, alpha)
     p = np.full(n, 1.0 / n)
@@ -132,10 +142,11 @@ def divrank(
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         d = p0 @ p  # d[u] = sum_v p0(u,v) * N(v), with N estimated by p
-        contrib = np.zeros(n)
+        # incoming mass at v: sum_u p[u] * p0(u,v) * p[v] / d[u]
         active = (p > 0.0) & (d > 0.0)
-        if np.any(active):
-            # incoming mass at v: sum_u p[u] * p0(u,v) * p[v] / d[u]
+        if active.all():
+            contrib = (p / d) @ p0 * p
+        else:  # an empty mask gives zeros
             contrib = (p[active] / d[active]) @ p0[active, :] * p
         p_next = (1.0 - lam) * p_star + lam * contrib
         p_next /= p_next.sum()
@@ -170,7 +181,8 @@ def mmr_order(g: SimilarityGraph) -> Ordering:
     The first pick is the node with the largest total similarity to all
     others (the selection objective is undefined on an empty summary); each
     later pick minimizes its maximum similarity to the already-picked set.
-    Ties break by input order.
+    Ties break by input order: the first pick is the first node of largest
+    total, and each later pick the first unpicked node of smallest maximum.
     """
     n = len(g)
     if n == 0:
@@ -179,13 +191,15 @@ def mmr_order(g: SimilarityGraph) -> Ordering:
     totals = w.sum(axis=1)
     first = int(np.argmax(totals))  # argmax takes the first maximal index
     selected = [first]
+    # Picked nodes hold inf, above every weight in [0, 1], so argmin (which
+    # takes the first minimal index) only ever returns an unpicked node.
     max_sim_to_selected = w[first].copy()
-    remaining = [i for i in range(n) if i != first]
-    while remaining:
-        pick = min(remaining, key=lambda i: (max_sim_to_selected[i], i))
+    max_sim_to_selected[first] = np.inf
+    for _ in range(n - 1):
+        pick = int(np.argmin(max_sim_to_selected))
         selected.append(pick)
-        remaining.remove(pick)
         np.maximum(max_sim_to_selected, w[pick], out=max_sim_to_selected)
+        max_sim_to_selected[pick] = np.inf
     return Ordering(ids=tuple(g.nodes[i] for i in selected), method="mmr")
 
 

@@ -2,13 +2,14 @@
 
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
-DivRank base transitions, the similarity graph build with its one-pair
-cosine, and the DOT export that the package shipped before its vectorized
-kernels.  They are kept verbatim as oracles: same partition, same member
-order, the same IEEE value of Q, the same path statistics, the same visiting
-order, the same coefficient, the same transition matrix, the same weights
-and the same DOT text.  Test use only; the first two are cubic in the node
-count.
+DivRank base transitions and walk, the MMR ordering, the similarity graph
+build with its one-pair cosine, and the DOT export that the package shipped
+before its vectorized kernels.  They are kept verbatim as oracles: same
+partition, same member order, the same IEEE value of Q, the same path
+statistics, the same visiting order, the same coefficient, the same
+transition matrix, the same DivRank scores, iteration count and residual,
+the same ordering, the same weights and the same DOT text.  Test use only;
+the first two are cubic in the node count.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from collections import deque
 
 import numpy as np
 
+from citesum import rank
 from citesum.community import Clustering, _clustering_from_members
 from citesum.corpus import CitationSet, IdfTable
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
+from citesum.rank import Ordering, RankScores, _divrank_base_transitions
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -158,6 +161,70 @@ def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndar
             p0[u, :] = alpha * w[u, :] / degrees[u]
             p0[u, u] = 1.0 - alpha
     return p0
+
+
+def divrank_oracle(
+    g: SimilarityGraph,
+    lam: float = 0.90,
+    alpha: float = 0.25,
+    prior: dict[str, float] | None = None,
+) -> RankScores:
+    """The DivRank walk with the masked reinforced product on every iteration.
+
+    Reads ``MAX_ITERATIONS`` and ``RESIDUAL_TOLERANCE`` from ``citesum.rank``
+    at call time, so a test that patches them patches both solvers.
+    """
+    n = len(g)
+    if prior is None:
+        p_star = np.full(n, 1.0 / n)
+    else:
+        p_star = np.array([float(prior.get(node, 0.0)) for node in g.nodes])
+        if np.any(p_star < 0.0) or p_star.sum() <= 0.0:
+            raise ValueError("prior must be non-negative and not all zero")
+        p_star = p_star / p_star.sum()
+
+    p0 = _divrank_base_transitions(g, alpha)
+    p = np.full(n, 1.0 / n)
+    residual = 0.0
+    iterations = 0
+    for iterations in range(1, rank.MAX_ITERATIONS + 1):
+        d = p0 @ p  # d[u] = sum_v p0(u,v) * N(v), with N estimated by p
+        contrib = np.zeros(n)
+        active = (p > 0.0) & (d > 0.0)
+        if np.any(active):
+            # incoming mass at v: sum_u p[u] * p0(u,v) * p[v] / d[u]
+            contrib = (p[active] / d[active]) @ p0[active, :] * p
+        p_next = (1.0 - lam) * p_star + lam * contrib
+        p_next /= p_next.sum()
+        residual = float(np.abs(p_next - p).sum())
+        p = p_next
+        if residual < rank.RESIDUAL_TOLERANCE:
+            break
+    return RankScores(
+        scores={node: float(p[i]) for i, node in enumerate(g.nodes)},
+        method="divrank" if prior is None else "divrank-prior",
+        iterations=iterations,
+        residual=residual,
+    )
+
+
+def mmr_order_oracle(g: SimilarityGraph) -> Ordering:
+    """Greedy anti-similarity ordering by ``min`` over the list of unpicked nodes."""
+    n = len(g)
+    if n == 0:
+        raise ValueError("cannot order an empty graph")
+    w = g.weights
+    totals = w.sum(axis=1)
+    first = int(np.argmax(totals))  # argmax takes the first maximal index
+    selected = [first]
+    max_sim_to_selected = w[first].copy()
+    remaining = [i for i in range(n) if i != first]
+    while remaining:
+        pick = min(remaining, key=lambda i: (max_sim_to_selected[i], i))
+        selected.append(pick)
+        remaining.remove(pick)
+        np.maximum(max_sim_to_selected, w[pick], out=max_sim_to_selected)
+    return Ordering(ids=tuple(g.nodes[i] for i in selected), method="mmr")
 
 
 def cosine_similarity(u: TermVector, v: TermVector) -> float:

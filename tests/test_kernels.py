@@ -2,8 +2,10 @@
 
 Equality here is strict: the same partition with the same member order, Q
 compared with ``==``, path statistics compared as exact tuples, the
-clustering coefficient compared with ``==``, the DivRank transitions and the
-similarity weights with ``np.array_equal``, and the DOT text with ``==``.
+clustering coefficient compared with ``==``, the DivRank transitions, the
+DivRank scores and the similarity weights with ``np.array_equal``, DivRank's
+iteration count and residual and the MMR ordering with ``==``, and the DOT
+text with ``==``.
 """
 
 import warnings
@@ -20,6 +22,8 @@ from oracles import (
     cluster_visit_order_oracle,
     clustering_coefficient_oracle,
     divrank_base_transitions_oracle,
+    divrank_oracle,
+    mmr_order_oracle,
     to_dot_oracle,
 )
 
@@ -34,7 +38,7 @@ from citesum.graph import (
     to_dot,
 )
 from citesum.lexical import TokenizerConfig
-from citesum.rank import _divrank_base_transitions
+from citesum.rank import _divrank_base_transitions, divrank, divrank_prior_from_length, mmr_order
 from citesum.summarize import cluster_visit_order
 
 FAMILIES = ("uniform", "quantized", "sparse-binary")
@@ -171,16 +175,21 @@ def test_clustering_coefficient_matches_oracle_on_fixture(nine_citations, nine_i
         assert clustering_coefficient(g, threshold) == clustering_coefficient_oracle(g, threshold)
 
 
+def with_isolated_nodes(rng: np.random.Generator, n: int, family: str, share: float):
+    """A random graph whose nodes, each with probability ``share``, lose every edge."""
+    w = random_graph(rng, n, family).weights.copy()
+    isolated = rng.uniform(size=n) < share
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    return make_graph(w), isolated
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_divrank_transitions_match_oracle(family):
     rng = np.random.default_rng(FAMILIES.index(family) + 501)
     for _ in range(40):
-        n = int(rng.integers(1, 60))
-        w = random_graph(rng, n, family).weights.copy()
-        isolated = rng.uniform(size=n) < 0.2  # zero-degree rows take the self-loop branch
-        w[isolated, :] = 0.0
-        w[:, isolated] = 0.0
-        g = make_graph(w)
+        # zero-degree rows take the self-loop branch
+        g, _ = with_isolated_nodes(rng, int(rng.integers(1, 60)), family, 0.2)
         alpha = float(rng.uniform(0.01, 0.99))
         assert np.array_equal(
             _divrank_base_transitions(g, alpha), divrank_base_transitions_oracle(g, alpha)
@@ -191,6 +200,82 @@ def test_divrank_transitions_single_node():
     g = make_graph([[0.0]])
     assert np.array_equal(_divrank_base_transitions(g, 0.25), divrank_base_transitions_oracle(g, 0.25))
     assert _divrank_base_transitions(g, 0.25).tolist() == [[1.0]]
+
+
+def assert_same_divrank(g, **kwargs) -> np.ndarray:
+    fast, oracle = divrank(g, **kwargs), divrank_oracle(g, **kwargs)
+    assert list(fast.scores) == list(oracle.scores)
+    scores = np.array(list(fast.scores.values()))
+    assert np.array_equal(scores, np.array(list(oracle.scores.values())))
+    assert fast.iterations == oracle.iterations
+    assert fast.residual == oracle.residual
+    assert fast.method == oracle.method
+    return scores
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("isolated_share", [0.0, 0.2])
+def test_divrank_matches_oracle(family, isolated_share):
+    rng = np.random.default_rng(FAMILIES.index(family) + (711 if isolated_share else 701))
+    for _ in range(8):
+        n = int(rng.integers(1, 60))
+        g, _ = with_isolated_nodes(rng, n, family, isolated_share)
+        texts = [" ".join(["w"] * int(k)) for k in rng.integers(0, 40, n)]
+        length_prior = divrank_prior_from_length(toy_citation_set(texts, ids=list(g.nodes)))
+        lam = float(rng.uniform(0.5, 0.95))
+        alpha = float(rng.uniform(0.05, 0.95))
+        for prior in (None, length_prior):
+            assert_same_divrank(g, lam=lam, alpha=alpha, prior=prior)
+
+
+def test_divrank_matches_oracle_on_fixture(nine_citations, nine_idf):
+    g = build_citation_summary_network(nine_citations, nine_idf)
+    for prior in (None, divrank_prior_from_length(nine_citations)):
+        assert_same_divrank(g, prior=prior)
+
+
+def test_divrank_matches_oracle_when_mass_underflows(monkeypatch):
+    # An isolated node with zero prior keeps only lam of its mass per sweep,
+    # so with no stopping rule its score underflows to exactly 0, here within
+    # 800 sweeps.  From then on p / d is 0/0 there and only the masked product
+    # stays finite.
+    monkeypatch.setattr("citesum.rank.RESIDUAL_TOLERANCE", -1.0)
+    monkeypatch.setattr("citesum.rank.MAX_ITERATIONS", 1000)
+    rng = np.random.default_rng(801)
+    for trial in range(12):
+        family = FAMILIES[trial % len(FAMILIES)]
+        g, isolated = with_isolated_nodes(rng, int(rng.integers(4, 20)), family, 0.4)
+        isolated[0] = False  # at least one node keeps prior mass
+        assert isolated.any()
+        prior = {node: (0.0 if iso else float(rng.uniform(0.1, 1.0))) for node, iso in zip(g.nodes, isolated)}
+        scores = assert_same_divrank(g, lam=0.3, prior=prior)
+        assert np.all(scores[isolated] == 0.0)
+        assert np.all(np.isfinite(scores))
+
+
+def test_divrank_matches_oracle_with_an_empty_mask():
+    # alpha = 1 empties the diagonal and lam = 0 makes p the prior after one
+    # sweep, so in the second sweep n0 has p > 0 but d = 0 and n1 has p = 0.
+    g = make_graph([[0.0, 0.5], [0.5, 0.0]])
+    scores = assert_same_divrank(g, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
+    assert scores.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mmr_matches_oracle(family):
+    rng = np.random.default_rng(FAMILIES.index(family) + 901)
+    for _ in range(60):
+        g = random_graph(rng, int(rng.integers(1, 60)), family)
+        assert mmr_order(g).ids == mmr_order_oracle(g).ids
+
+
+def test_mmr_matches_oracle_on_fixed_graphs(nine_citations, nine_idf):
+    for g in (
+        make_graph(np.zeros((7, 7))),
+        make_graph([[0.0]]),
+        build_citation_summary_network(nine_citations, nine_idf),
+    ):
+        assert mmr_order(g).ids == mmr_order_oracle(g).ids
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -177,6 +177,13 @@ class TestDivrank:
             divrank(g, prior={"n0": -1.0, "n1": 1.0})
         with pytest.raises(ValueError):
             divrank(g, prior={"n0": 0.0, "n1": 0.0})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                divrank(g, prior={"n0": bad, "n1": 1.0})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            divrank(g, prior={"n0": 1e308, "n1": 1e308})  # each finite, the total not
+        with pytest.raises(ValueError, match="n2"):
+            divrank(g, prior={"n0": 1.0, "n1": 1.0, "n2": 1.0})
 
 
 class TestLengthPrior:
