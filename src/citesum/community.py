@@ -78,6 +78,13 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     the best partition seen.  Ties go to the lowest index pair: lowest row i,
     then lowest column j.
 
+    The loop logs each merge ``(i, j)`` and the merge count at each new best
+    Q.  The best partition is rebuilt once at the end by replaying that
+    prefix of the log from singletons, with the same ``extend`` and ``del``
+    as the merges, so its member lists and their order are those the
+    partition had when its Q was reached.  A last merge whose gain is below
+    half an ulp of Q leaves Q unchanged, so it is not part of the prefix.
+
     Each alive row i caches the best gain over alive columns j > i and the
     first column reaching it.  A merge of j into i changes only the gains
     that involve i or j, so it refreshes row i, the rows whose cached column
@@ -86,7 +93,7 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     read from the upper triangle with the same IEEE arithmetic as a rescan
     of every pair, so the partition and Q equal those of a full rescan at
     every step.  Cost: O(n) vectorized work per merge plus O(n) per
-    refreshed row, so O(n^2) in the usual case.
+    refreshed row, so O(n^2) in the usual case, plus one O(n) replay.
     """
     n = len(g)
     if n == 0:
@@ -105,11 +112,11 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     e = w / total
     a = e.sum(axis=1)
     alive = np.ones(n, dtype=bool)
-    parents = {i: [i] for i in range(n)}  # cluster index -> member node indices
+    merges: list[tuple[int, int]] = []  # (i, j): cluster j folded into cluster i
 
     q = float(np.trace(e) - (a * a).sum())
     best_q = q
-    best_members = [list(m) for m in parents.values()]
+    best_merges = 0  # the best partition is singletons after this many merges
 
     # Row cache: best_val[i] = max gain over alive j > i, best_col[i] = the
     # first such j; -inf for dead rows and rows with no alive column right of
@@ -128,14 +135,13 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
         e[i, :] += e[j, :]
         e[:, i] += e[:, j]
         a[i] += a[j]
-        parents[i].extend(parents[j])
-        del parents[j]
+        merges.append((i, j))
         alive[j] = False
         best_val[j] = -np.inf
         q += best_gain
         if q > best_q:
             best_q = q
-            best_members = [list(m) for m in parents.values()]
+            best_merges = len(merges)
 
         # Rows that lost their cached column (j) or saw its gain change (i);
         # row i itself is among them, since its cached column was j.
@@ -150,7 +156,11 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
         best_val[k[better]] = gain[better]
         best_col[k[better]] = i
 
-    return _clustering_from_members(g, best_members, best_q)
+    parents = {c: [c] for c in range(n)}  # cluster index -> member node indices
+    for i, j in merges[:best_merges]:
+        parents[i].extend(parents[j])
+        del parents[j]
+    return _clustering_from_members(g, list(parents.values()), best_q)
 
 
 _REFRESH_BLOCK = 64  # rows per block: bounds the temporary at 64 x n gains

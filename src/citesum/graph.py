@@ -8,7 +8,10 @@ threshold, edge iff weight strictly above it.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from .corpus import CitationSet, IdfTable
 from .lexical import TokenizerConfig, tfidf_vector, tokenize
 
-POSTINGS_BLOCK = 64  # rows of one term's outer product added per step
+PAIR_CHUNK = 1 << 13  # term-pair products per np.add.at call; also bounds the row-block quotients
 
 
 @dataclass(frozen=True)
@@ -72,51 +75,116 @@ def build_citation_summary_network(
 
     The weights are the IEEE values of ``min(1.0, cosine_similarity(u, v))``
     for every pair, the one-pair loop in ``tests/oracles.py``.  The dot
-    products come from term postings: the terms found in two or more
-    sentences are visited in ``sorted()`` order, and each adds the outer
-    product of its weights into the cells of its sentences, one add per
-    cell.  So every pair starts from 0.0 and receives the products of its
-    common terms left to right in sorted term order, as the oracle's
-    ``cosine_similarity`` adds them.  Each row is then divided by the product
-    of the two norms, rows and columns of zero-norm sentences are zeroed, and
+    products come from term postings (``_Postings``): the ordered pairs of
+    entries of every term found in two or more sentences, term after term in
+    ``sorted()`` order.  ``np.add.at`` adds each pair's product into its
+    cell and applies its adds in index order, so every cell starts from 0.0
+    and receives the products of its common terms left to right in sorted
+    term order, as the oracle's ``cosine_similarity`` adds them.  The pairs
+    go PAIR_CHUNK at a time; a chunk may end inside a term, and the next
+    carries on from there, so chunking changes no add and no add's order.
+    Each row is then divided by the product of the two norms, a block of
+    rows at a time; rows and columns of zero-norm sentences are zeroed, and
     the diagonal is cleared.  ``w[i, j]`` and ``w[j, i]`` see the same adds
     and the same commuted norm product, so symmetry is exact.  No BLAS is
     used, so the weights do not depend on the BLAS thread count.
 
-    Memory: one n x n float64 array, the result, plus per-term temporaries
-    of at most POSTINGS_BLOCK x k entries, k the term's sentence count.
+    Memory: one n x n float64 array, the result; six arrays of at most one
+    element per (sentence, term) entry; and during each chunk four arrays of
+    PAIR_CHUNK elements, or one for a block of row quotients.  The term
+    strings and weight maps are dropped before the pairs are added.
     """
     if len(cs) == 0:
         raise ValueError("citation set is empty")
-    vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
-    n = len(vectors)
-    postings: dict[str, tuple[list[int], list[float]]] = {}
-    for i, v in enumerate(vectors):
-        for term, x in v.weights.items():
-            rows, xs = postings.setdefault(term, ([], []))
-            rows.append(i)
-            xs.append(x)
+    n = len(cs)
+    p = _postings(cs, idf, tokenizer)
     w = np.zeros((n, n))
     flat = w.reshape(-1)
-    for term in sorted(postings):
-        rows, xs = postings[term]
-        if len(rows) < 2:
-            continue
-        r = np.array(rows)
-        x = np.array(xs)
-        for start in range(0, len(r), POSTINGS_BLOCK):
-            block = slice(start, start + POSTINGS_BLOCK)
-            flat[r[block, None] * n + r] += np.multiply.outer(x[block], x)
-    norms = np.array([v.norm for v in vectors])
-    empty = norms == 0.0
-    safe = np.where(empty, 1.0, norms)
-    for i in range(n):
-        w[i] /= safe[i] * safe
+    total = int(p.bounds[-1])
+    for lo in range(0, total, PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, total)
+        r0 = int(np.searchsorted(p.bounds, lo, side="right")) - 1
+        r1 = int(np.searchsorted(p.bounds, hi, side="left"))
+        counts = np.diff(p.bounds[r0 : r1 + 1])  # pairs of rows r0..r1-1 in this chunk
+        counts[0] -= lo - p.bounds[r0]
+        counts[-1] -= p.bounds[r1] - hi
+        other = np.arange(lo, hi)
+        other -= np.repeat(p.shift[r0:r1], counts)
+        cells = p.row[other]
+        cells += np.repeat(p.lead_cell[r0:r1], counts)
+        products = p.weight[other]
+        products *= np.repeat(p.lead_weight[r0:r1], counts)
+        np.add.at(flat, cells, products)
+
+    empty = p.norms == 0.0
+    safe = np.where(empty, 1.0, p.norms)
+    rows_per_block = max(1, PAIR_CHUNK // n)
+    for lo in range(0, n, rows_per_block):
+        block = slice(lo, lo + rows_per_block)
+        w[block] /= safe[block, None] * safe
     w[empty, :] = 0.0
     w[:, empty] = 0.0
     np.minimum(w, 1.0, out=w)
     np.fill_diagonal(w, 0.0)
     return SimilarityGraph(nodes=tuple(cs.ids), weights=w)
+
+
+class _Postings(NamedTuple):
+    """A set's TF-IDF vector norms, and the ordered pairs of every shared term's entries.
+
+    An entry is one (sentence, term) of a TF-IDF vector; ``row`` and
+    ``weight`` hold the entries sorted by term, in sentence order within a
+    term.  Each entry of a term with k >= 2 entries leads one pair row: the
+    entry against each of the term's k entries.  Pair p of the enumeration
+    lies in pair row r with ``bounds[r] <= p < bounds[r + 1]``; it pairs the
+    lead, whose cell row starts at ``lead_cell[r]`` and whose weight is
+    ``lead_weight[r]``, with entry ``p - shift[r]``.
+    """
+
+    norms: np.ndarray
+    row: np.ndarray
+    weight: np.ndarray
+    bounds: np.ndarray
+    shift: np.ndarray
+    lead_cell: np.ndarray
+    lead_weight: np.ndarray
+
+
+def _postings(cs: CitationSet, idf: IdfTable, tokenizer: TokenizerConfig) -> _Postings:
+    """The postings of a citation set, from one ``tfidf_vector`` call per sentence.
+
+    Term ids are assigned in one pass, in order of first appearance, and
+    each sentence's entries go straight into flat arrays, so no term string
+    or weight map outlives this call except in ``idf``.  One stable argsort
+    by each term's ``sorted()`` rank then groups the entries by term.
+    """
+    n = len(cs)
+    norms = np.empty(n)
+    sizes = np.empty(n, dtype=np.intp)
+    term_id: defaultdict[str, int] = defaultdict(count().__next__)
+    ids, weights = array("q"), array("d")
+    for i, s in enumerate(cs.sentences):
+        v = tfidf_vector(tokenize(s.text, tokenizer), idf)
+        norms[i] = v.norm
+        sizes[i] = len(v.weights)
+        ids.extend(map(term_id.__getitem__, v.weights))
+        weights.extend(v.weights.values())
+    names = list(term_id)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    term = rank[np.asarray(ids)]
+    order = np.argsort(term, kind="stable")
+    term = term[order]
+    row = np.repeat(np.arange(n), sizes)[order]
+    weight = np.asarray(weights)[order]
+
+    k = np.bincount(term, minlength=len(names))
+    first = np.cumsum(k) - k
+    lead = np.flatnonzero(k[term] >= 2)
+    bounds = np.zeros(len(lead) + 1, dtype=np.intp)
+    np.cumsum(k[term[lead]], out=bounds[1:])
+    shift = bounds[:-1] - first[term[lead]]
+    return _Postings(norms, row, weight, bounds, shift, row[lead] * n, weight[lead])
 
 
 def clustering_coefficient(g: SimilarityGraph, threshold: float = 0.10) -> float:

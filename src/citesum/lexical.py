@@ -1,7 +1,8 @@
 """Tokenization and TF-IDF term vectors.
 
-The default tokenizer lowercases, strips non-alphanumeric characters inside
-each whitespace token, and removes nothing else; stopword removal is opt-in.
+The default tokenizer lowercases, strips every character that is neither an
+ASCII letter or digit nor whitespace, splits on whitespace, and removes
+nothing else; stopword removal is opt-in.
 No stemming, so results are reproducible without external linguistic
 resources.  The graph build (``citesum.graph``) takes the cosine of all pairs
 at once; the one-pair ``cosine_similarity`` it equals is in ``tests/oracles.py``.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .corpus import IdfTable, RunConfig, load_stopwords
 
-_NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
+_NON_ALNUM = re.compile(r"[^0-9a-zA-Z\s]+")
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,25 @@ class TokenizerConfig:
 
 
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Deterministic term list for a sentence; empty text gives an empty list."""
-    terms = []
-    for raw in text.split():
-        term = raw.lower() if cfg.lowercase else raw
-        if cfg.strip_punctuation:
-            term = _NON_ALNUM.sub("", term)
-        if term and term not in cfg.stopwords:
-            terms.append(term)
+    """Deterministic term list for a sentence; empty text gives an empty list.
+
+    The whole text is lowercased once (``cfg.lowercase``), stripped of all
+    but ASCII letters, digits and whitespace in one regex pass
+    (``cfg.strip_punctuation``), then split with ``str.split()``.  Regex
+    ``\\s`` and ``str.split()`` use the same whitespace test, so stripping
+    never joins two tokens: the terms are those of lowercasing and stripping
+    each whitespace token on its own, minus the tokens left empty.
+    (``str.lower`` maps a token the same inside the text as alone: its one
+    context rule, final sigma, does not look past whitespace.)  Stopwords
+    are dropped last.
+    """
+    if cfg.lowercase:
+        text = text.lower()
+    if cfg.strip_punctuation:
+        text = _NON_ALNUM.sub("", text)
+    terms = text.split()
+    if cfg.stopwords:
+        terms = [t for t in terms if t not in cfg.stopwords]
     return terms
 
 
@@ -71,4 +83,5 @@ class TermVector:
 def tfidf_vector(tokens: list[str] | tuple[str, ...], idf: IdfTable) -> TermVector:
     """weight(term) = raw in-sentence count x idf(term)."""
     counts = Counter(tokens)
-    return TermVector.from_weights({t: c * idf.idf(t) for t, c in counts.items()})
+    values, default = idf.values, idf.default_idf
+    return TermVector.from_weights({t: c * values.get(t, default) for t, c in counts.items()})

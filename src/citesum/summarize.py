@@ -187,24 +187,56 @@ def c_rr_summary(
 
 
 def summary_from_json(path) -> Summary:
-    """Read back the machine form written by Summary.to_json."""
+    """Read back the machine form written by Summary.to_json.
+
+    Each field must have the JSON type ``to_json`` writes: ``words``,
+    ``total_words`` and ``budget`` integers (a boolean is not one),
+    ``truncated`` a boolean, the rest strings.  Anything else is a DataError
+    that names the file and the field; nothing is coerced.  An entry without
+    ``source_doc`` reads it as "".
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = tuple(
-            SummaryEntry(
-                sentence_id=e["id"],
-                text=e["text"],
-                words=int(e["words"]),
-                truncated=bool(e["truncated"]),
-                source_doc=e.get("source_doc", ""),
-            )
-            for e in payload["entries"]
-        )
-        return Summary(
-            entries=entries,
-            total_words=int(payload["total_words"]),
-            method=str(payload["method"]),
-            budget=int(payload["budget"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{path}: not a valid summary JSON ({exc})") from None
+    _typed(path, payload, dict, "summary")
+    entries = []
+    for k, e in enumerate(_field(path, payload, "entries", list)):
+        where = f"entries[{k}]"
+        _typed(path, e, dict, where)
+        entries.append(
+            SummaryEntry(
+                sentence_id=_field(path, e, "id", str, where),
+                text=_field(path, e, "text", str, where),
+                words=_field(path, e, "words", int, where),
+                truncated=_field(path, e, "truncated", bool, where),
+                source_doc=_typed(path, e.get("source_doc", ""), str, f"{where}.source_doc"),
+            )
+        )
+    return Summary(
+        entries=tuple(entries),
+        total_words=_field(path, payload, "total_words", int),
+        method=_field(path, payload, "method", str),
+        budget=_field(path, payload, "budget", int),
+    )
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"
+}
+
+
+def _typed(path, value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind``, else a DataError naming the field."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DataError(
+            f"{path}: summary field {name} must be {_JSON_TYPES[kind]}, got {value!r:.40}"
+        )
+    return value
+
+
+def _field(path, record: dict, key: str, kind: type, where: str = ""):
+    name = f"{where}.{key}" if where else key
+    if key not in record:
+        raise DataError(f"{path}: summary field {name} is missing")
+    return _typed(path, record[key], kind, name)

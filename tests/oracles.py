@@ -2,18 +2,21 @@
 
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
-DivRank base transitions and walk, the MMR ordering, the similarity graph
-build with its one-pair cosine, and the DOT export that the package shipped
-before its vectorized kernels.  They are kept verbatim as oracles: same
-partition, same member order, the same IEEE value of Q, the same path
-statistics, the same visiting order, the same coefficient, the same
-transition matrix, the same DivRank scores, iteration count and residual,
-the same ordering, the same weights and the same DOT text.  Test use only;
-the first two are cubic in the node count.
+DivRank base transitions and walk, the MMR ordering, the tokenizer, the
+similarity graph build with its one-pair cosine, and the DOT export that the
+package shipped before its vectorized kernels.  They are kept verbatim as
+oracles: same partition, same member order, the same IEEE value of Q, the
+same path statistics, the same visiting order, the same coefficient, the
+same transition matrix, the same DivRank scores, iteration count and
+residual, the same ordering, the same terms, the same weights and the same
+DOT text.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
+independent of the package's tokenizer too.  Test use only; the first two
+are cubic in the node count.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import numpy as np
@@ -22,7 +25,7 @@ from citesum import rank
 from citesum.community import Clustering, _clustering_from_members
 from citesum.corpus import CitationSet, IdfTable
 from citesum.graph import PathStats, SimilarityGraph
-from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
+from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
 from citesum.rank import Ordering, RankScores, _divrank_base_transitions
 
 
@@ -227,6 +230,21 @@ def mmr_order_oracle(g: SimilarityGraph) -> Ordering:
     return Ordering(ids=tuple(g.nodes[i] for i in selected), method="mmr")
 
 
+_NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
+
+
+def tokenize_oracle(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
+    """Deterministic term list for a sentence; empty text gives an empty list."""
+    terms = []
+    for raw in text.split():
+        term = raw.lower() if cfg.lowercase else raw
+        if cfg.strip_punctuation:
+            term = _NON_ALNUM.sub("", term)
+        if term and term not in cfg.stopwords:
+            terms.append(term)
+    return terms
+
+
 def cosine_similarity(u: TermVector, v: TermVector) -> float:
     """dot(u,v) / (|u||v|), with 0.0 when either vector is empty.
 
@@ -249,7 +267,7 @@ def build_citation_summary_network_oracle(
     """Pairwise TF-IDF cosine graph over the citation set, one cosine per pair."""
     if len(cs) == 0:
         raise ValueError("citation set is empty")
-    vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
+    vectors = [tfidf_vector(tokenize_oracle(s.text, tokenizer), idf) for s in cs.sentences]
     n = len(vectors)
     w = np.zeros((n, n))
     for i in range(n):

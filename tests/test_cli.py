@@ -320,6 +320,23 @@ class TestEvaluate:
         assert code == 1
         assert "sX" in err
 
+    @pytest.mark.parametrize("field, value", [("truncated", "false"), ("words", 3.9)])
+    def test_pyramid_rejects_a_coercible_summary_field(self, paths, tmp_path, capsys, field, value):
+        summary = tmp_path / "typed.json"
+        entry = {"id": "s1", "text": "w", "words": 1, "truncated": False, "source_doc": ""}
+        entry[field] = value
+        payload = {"method": "x", "budget": 10, "total_words": 1, "entries": [entry]}
+        summary.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(
+            ["evaluate", "--metric", "pyramid", "--summary", str(summary),
+             "--citations", paths["citations"], "--annotations", paths["factoids"],
+             "--out", str(tmp_path / "pyr")],
+            capsys,
+        )
+        assert code == 1
+        assert f"{summary}: summary field entries[0].{field} must be" in err
+        assert not (tmp_path / "pyr.tsv").exists()
+
     def test_rouge_report(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
         cand.write_text("the cat sat on the mat\n", encoding="utf-8")

@@ -8,6 +8,8 @@ iteration count and residual and the MMR ordering with ``==``, and the DOT
 text with ``==``.
 """
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +33,7 @@ from citesum.community import Clustering, block_sums, cluster_cnm, modularity
 from citesum.corpus import CitationSet, IdfTable, uniform_idf
 from citesum.graph import (
     BFS_BLOCK,
-    POSTINGS_BLOCK,
+    PAIR_CHUNK,
     average_shortest_path,
     build_citation_summary_network,
     clustering_coefficient,
@@ -88,6 +90,24 @@ def test_cnm_tie_with_merged_column_goes_to_lower_column():
     ]
     g = make_graph(w)
     assert_same_clustering(cluster_cnm(g), cluster_cnm_oracle(g))
+
+
+def test_cnm_best_partition_before_a_last_merge_below_half_an_ulp():
+    # A 4-clique and two 2-cliques; the 2-cliques are joined by four edges
+    # of weight c.  At this c, joining them is the last merge, and its gain,
+    # about 1.4e-17, is positive but below half an ulp of Q (about 0.40), so
+    # Q stays the same and the best partition is the one before that merge.
+    c = float.fromhex("0x1.4c583ada5b52bp-4")
+    w = np.zeros((8, 8))
+    for group in ((0, 1, 2, 3), (4, 5), (6, 7)):
+        w[np.ix_(group, group)] = 1.0
+    w[np.ix_((4, 5), (6, 7))] = c
+    w[np.ix_((6, 7), (4, 5))] = c
+    np.fill_diagonal(w, 0.0)
+    g = make_graph(w)
+    oracle = cluster_cnm_oracle(g)
+    assert oracle.g == 3
+    assert_same_clustering(cluster_cnm(g), oracle)
 
 
 @st.composite
@@ -383,11 +403,77 @@ def test_graph_build_zeroes_sentences_with_zero_norm():
 
 
 def test_graph_build_matches_oracle_across_postings_blocks():
-    # One term in every sentence spans three blocks of its outer product.
+    # "tree" is in every sentence and sorts after every other term, so its
+    # n * n pairs, more than two chunks, start mid-chunk and hold at least
+    # one chunk boundary, which also falls inside one of its rows of n pairs.
     rng = np.random.default_rng(801)
-    n = 2 * POSTINGS_BLOCK + 3
+    n = math.isqrt(2 * PAIR_CHUNK) + 1
+    assert n * n > 2 * PAIR_CHUNK and PAIR_CHUNK % n != 0
     texts = [f"tree {' '.join(rng.choice(VOCAB, size=int(rng.integers(1, 6))))}" for _ in range(n)]
+    idf = IdfTable({"parse": 1.7, "crf": 0.3, "of": 2.9}, default_idf=1.1)
+    for tokenizer in TOKENIZERS:
+        assert_build_matches_oracle(toy_citation_set(texts), idf, tokenizer)
+
+
+def test_graph_build_matches_oracle_when_small_terms_fill_a_chunk():
+    # Every term is in exactly two sentences, so it has 4 ordered pairs:
+    # PAIR_CHUNK / 4 terms fill the first chunk exactly and one more term
+    # starts the second.  Most terms share the same few sentence pairs, so
+    # each of those cells gets hundreds of adds whose order shows in the bits.
+    assert PAIR_CHUNK % 4 == 0
+    rng = np.random.default_rng(811)
+    n, terms = 12, PAIR_CHUNK // 4 + 1
+    words: list[list[str]] = [[] for _ in range(n)]
+    for t in range(terms):
+        for i in rng.choice(n, size=2, replace=False):
+            words[i].append(f"t{t}")
+    texts = [" ".join(rng.permutation(w)) for w in words]
+    idf = IdfTable({f"t{t}": float(rng.uniform(0.1, 9.0)) for t in range(terms)})
+    assert_build_matches_oracle(toy_citation_set(texts), idf, TokenizerConfig())
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["a lone sentence"], [""], ["alpha beta", "gamma delta", "epsilon", ""], ["x", "y", "z x"]],
+    ids=["n=1", "n=1-empty", "no-shared-term", "one-shared-term"],
+)
+def test_graph_build_matches_oracle_with_few_pairs(texts):
     assert_build_matches_oracle(toy_citation_set(texts), uniform_idf(), TokenizerConfig())
+
+
+def zipf_corpus(n: int, seed: int) -> tuple[CitationSet, IdfTable]:
+    """n sentences of 8-29 words from a Zipf vocabulary, with idf = log(n / df)."""
+    rng = np.random.default_rng(seed)
+    vocab = np.array([f"w{k}" for k in range(3000)])
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    texts = [
+        " ".join(rng.choice(vocab, size=int(rng.integers(8, 30)), p=p / p.sum()))
+        for _ in range(n)
+    ]
+    df: dict[str, int] = {}
+    for text in texts:
+        for word in set(text.split()):
+            df[word] = df.get(word, 0) + 1
+    values = {word: math.log(n / d) for word, d in df.items()}
+    return toy_citation_set(texts), IdfTable(values, default_idf=max(values.values()))
+
+
+# Peak bytes above the n x n result of the per-term postings build that the
+# chunked one replaced, on zipf_corpus(n, n) (Python 3.11, numpy 2.4).
+POSTINGS_BUILD_EXTRA_MB = {250: 1.15, 1000: 3.91}
+
+
+@pytest.mark.parametrize("n", sorted(POSTINGS_BUILD_EXTRA_MB))
+def test_graph_build_memory_beyond_result_is_bounded(n):
+    cs, idf = zipf_corpus(n, n)
+    build_citation_summary_network(cs, idf)  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        g = build_citation_summary_network(cs, idf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - g.weights.nbytes) / 1e6 <= POSTINGS_BUILD_EXTRA_MB[n]
 
 
 @st.composite

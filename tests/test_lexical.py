@@ -1,9 +1,13 @@
 """Tokenizer, TF-IDF weighting, and the one-pair cosine oracle in ``tests/oracles.py``."""
 
+import itertools
 import random
+import string
 
 import pytest
-from oracles import cosine_similarity
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cosine_similarity, tokenize_oracle
 
 from citesum.corpus import IdfTable, uniform_idf
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
@@ -37,6 +41,42 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Some researchers used a pipelined approach; others did not."
         assert tokenize(text) == tokenize(text)
+
+
+# Characters where a whole-text tokenizer could part from the per-token one:
+# every whitespace character ``str.split()`` knows below U+3100 (U+0085
+# among them), letters whose lowercase depends on context (final sigma) or
+# is longer than the letter (dotted capital I), and marks with no width.
+TOKENIZER_ALPHABET = (
+    string.ascii_letters
+    + string.digits
+    + string.punctuation
+    + "".join(chr(c) for c in range(0x3100) if chr(c).isspace())
+    + "\u0085\u03a3\u03c3\u03c2\u0130"
+    + "\u0300\u0301\u0307\u0345\u200b\u200c\u200d\u2060\ufeff\u00ad"
+)
+TOKENIZER_CONFIGS = [
+    TokenizerConfig(lowercase, strip, stopwords)
+    for lowercase, strip, stopwords in itertools.product(
+        (True, False), (True, False), (frozenset(), frozenset({"a", "i", "ab", "A", "\u03c3"}))
+    )
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.text(alphabet=st.sampled_from(TOKENIZER_ALPHABET), max_size=60))
+def test_property_tokenize_matches_per_token_oracle(text):
+    for cfg in TOKENIZER_CONFIGS:
+        assert tokenize(text, cfg) == tokenize_oracle(text, cfg)
+
+
+def test_tokenize_matches_oracle_on_context_sensitive_text():
+    # Final sigma next to a separator, a dotted capital I whose lowercase
+    # carries a combining dot, and separators that are not ASCII spaces.
+    text = "\u03a3A\u03a3\u0085\u03a3\u0301x \u0130stanbul\u3000a\u200bb\x1cC\u2028d-e"
+    for cfg in TOKENIZER_CONFIGS:
+        assert tokenize(text, cfg) == tokenize_oracle(text, cfg)
+    assert tokenize(text) == ["a", "x", "istanbul", "ab", "c", "de"]
 
 
 class TestTfidfVector:

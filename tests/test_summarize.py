@@ -1,5 +1,6 @@
 """Budgeted extraction: cluster-driven summaries and ordering assembly."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from citesum.cli import SUMMARIZERS
 from citesum.community import Clustering
-from citesum.corpus import RunConfig, uniform_idf
+from citesum.corpus import DataError, RunConfig, uniform_idf
 from citesum.graph import build_citation_summary_network
 from citesum.rank import Ordering, lexrank, random_order
 from citesum.summarize import (
@@ -75,6 +76,69 @@ class TestAssemble:
         summary = assemble_from_ordering(cs, Ordering(("s1",), "manual"), 50)
         first = summary.to_text().splitlines()[0]
         assert first == "# method=manual budget=50 words=2"
+
+
+def entry_field(key, value):
+    return lambda payload: payload["entries"][0].__setitem__(key, value)
+
+
+class TestSummaryFromJson:
+    """Every field keeps the JSON type ``to_json`` writes; nothing is coerced."""
+
+    @staticmethod
+    def payload():
+        cs = toy_citation_set(["first sentence here", "second one"])
+        summary = assemble_from_ordering(cs, Ordering(("s1", "s2"), "manual"), 4)
+        return summary, json.loads(summary.to_json())
+
+    def test_cli_json_round_trips(self, tmp_path):
+        summary, payload = self.payload()
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert summary_from_json(path) == summary
+
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("entries[0].truncated", entry_field("truncated", "false")),
+            ("entries[0].truncated", entry_field("truncated", 0)),
+            ("entries[0].words", entry_field("words", 3.9)),
+            ("entries[0].words", entry_field("words", True)),
+            ("entries[0].words", entry_field("words", "3")),
+            ("entries[0].id", entry_field("id", 1)),
+            ("entries[0].text", entry_field("text", None)),
+            ("entries[0].source_doc", entry_field("source_doc", None)),
+            ("entries[1]", lambda p: p["entries"].__setitem__(1, ["s2"])),
+            ("entries[0].words", lambda p: p["entries"][0].pop("words")),
+            ("entries", lambda p: p.__setitem__("entries", {"0": {}})),
+            ("total_words", lambda p: p.__setitem__("total_words", 4.0)),
+            ("total_words", lambda p: p.__setitem__("total_words", False)),
+            ("budget", lambda p: p.__setitem__("budget", "100")),
+            ("budget", lambda p: p.__setitem__("budget", None)),
+            ("method", lambda p: p.__setitem__("method", 7)),
+        ],
+    )
+    def test_wrong_type_rejected_naming_file_and_field(self, tmp_path, field, corrupt):
+        _, payload = self.payload()
+        corrupt(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            summary_from_json(path)
+        assert str(info.value).startswith(f"{path}: summary field {field} ")
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(DataError, match="summary field summary must be an object"):
+            summary_from_json(path)
+
+    def test_missing_source_doc_reads_empty(self, tmp_path):
+        _, payload = self.payload()
+        del payload["entries"][0]["source_doc"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert summary_from_json(path).entries[0].source_doc == ""
 
 
 class TestCLexrank:
