@@ -4,7 +4,10 @@ Subcommands: ``summarize``, ``evaluate``, ``graph-stats``, ``cluster``.
 Exit codes: 0 ok, 1 data error, 2 usage error.  Stochastic methods require an
 explicit seed, so identical inputs, config, and seed reproduce byte-identical
 output artifacts; the run manifest (which carries wall-clock timings) is
-metadata, not an artifact.  Output files are written atomically.
+metadata, not an artifact.  Output files are written atomically: each goes
+to a temporary file in its directory, renamed over the target once complete,
+and ends with the permissions the umask gives a new file (0o644 under umask
+0o022).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -104,15 +106,20 @@ SUMMARIZERS = {
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then rename it over ``path``.
+
+    The temporary file is created with mode 0o666, so the final file gets
+    the permissions the umask leaves, like any new file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

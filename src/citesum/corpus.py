@@ -13,10 +13,14 @@ File formats (all UTF-8, line oriented):
   - run configuration: ``key = value`` lines naming RunConfig fields.
 
 In the TSV files, blank lines and lines starting with ``#`` are skipped.
-Every loader names the offending line of a file it rejects.  Loaders only
-parse and validate: they keep each sentence's raw text and never tokenize it,
-since terms feed only the similarity graph, which tokenizes as it builds
-(``citesum.graph``).  Loaders are pure given the file bytes; everything they
+Every loader names the offending line of a file it rejects.  The IDF table,
+which every job loads, is parsed in bulk: a few passes over all rows at once
+split terms from values, convert the values with ``float`` and check the
+whole table.  Only a file that fails those checks is walked line by line,
+with the same checks, to name its first bad line; a valid file never is.
+Loaders only parse and validate: they keep each sentence's raw text and
+never tokenize it, since terms feed only the similarity graph, which
+tokenizes as it builds (``citesum.graph``).  Loaders are pure given the file bytes; everything they
 return is immutable after construction and safe to share across threads.
 """
 
@@ -24,8 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
+from itertools import compress
 from pathlib import Path
+from typing import NoReturn
 
 
 class DataError(ValueError):
@@ -125,9 +132,13 @@ class IdfTable:
     default_idf: float = 1.0
 
     def __post_init__(self):
-        for term, v in self.values.items():
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"idf for term {term!r} must be finite and non-negative: {v}")
+        idfs = self.values.values()
+        if not (all(map(math.isfinite, idfs)) and min(idfs, default=0.0) >= 0):
+            for term, v in self.values.items():  # name the first bad term
+                if not (math.isfinite(v) and v >= 0):
+                    raise ValidationError(
+                        f"idf for term {term!r} must be finite and non-negative: {v}"
+                    )
         if not (math.isfinite(self.default_idf) and self.default_idf >= 0):
             raise ValidationError(
                 f"default idf must be finite and non-negative: {self.default_idf}"
@@ -229,13 +240,14 @@ def _read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _tsv_rows(path: str | Path, fields: tuple[str, ...]):
+def _tsv_rows(path: str | Path, fields: tuple[str, ...], lines: list[str] | None = None):
     """Yield ``(line number, cells)`` for each row of a TSV file with these fields.
 
+    ``lines`` are the file's lines if the caller has read them already.
     Blank lines and lines starting with ``#`` are skipped.  A row with the
     wrong number of cells is a ParseError naming the line and the layout.
     """
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+    for lineno, raw in enumerate(_read_lines(path) if lines is None else lines, start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         cells = raw.split("\t")
@@ -360,10 +372,65 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
+# A comment row, in rows joined with a newline before each.  Regex ``\S``
+# and ``str.strip`` share one whitespace test.
+_COMMENT_ROW = re.compile(r"\n[^\S\n]*#[^\n]*")
+# Every byte but tab and newline; no multi-byte UTF-8 character holds either.
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def load_idf_table(path: str | Path) -> IdfTable:
-    """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf."""
-    values: dict[str, float] = {}
-    for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf")):
+    """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf.
+
+    A valid file is parsed in bulk, by ``_idf_table_in_bulk``.  Only when
+    that finds a bad row or no row at all does ``_raise_first_bad_idf_line``
+    walk the same lines one at a time to name the first bad one.
+    """
+    lines = _read_lines(path)
+    table = _idf_table_in_bulk(lines)
+    if table is None:
+        _raise_first_bad_idf_line(path, lines)
+    return table
+
+
+def _idf_table_in_bulk(lines: list[str]) -> IdfTable | None:
+    """The table of an IDF file's lines, or None if a row breaks a rule or there is none.
+
+    Each step is one C-level pass over all rows.  Blank and comment lines
+    are dropped and the rows joined into one text, each after a newline; a
+    row holds exactly one tab iff that text's tabs and newlines alternate.
+    One split then gives every term and value, the values are stripped as
+    the line checks strip them (``float`` alone rejects the U+001F that
+    ``str.strip`` removes) and converted with ``float``, and the finite,
+    non-negative and unique-term checks cover the whole table.
+    """
+    text = "\n" + "\n".join(compress(lines, map(str.strip, lines)))
+    if "#" in text:
+        text = _COMMENT_ROW.sub("", text)
+    rows = text.count("\n")
+    if not rows or text.encode().translate(None, _NOT_TAB_OR_NEWLINE) != b"\n\t" * rows:
+        return None
+    cells = text.replace("\n", "\t").split("\t")  # "", then each row's term and value
+    try:
+        idfs = list(map(float, map(str.strip, cells[2::2])))
+    except ValueError:
+        return None
+    if not (all(map(math.isfinite, idfs)) and min(idfs) >= 0):
+        return None
+    values = dict(zip(cells[1::2], idfs))
+    if len(values) != rows:
+        return None
+    return IdfTable(values=values, default_idf=max(idfs))
+
+
+def _raise_first_bad_idf_line(path: str | Path, lines: list[str]) -> NoReturn:
+    """Raise the error that names the first bad line of an IDF file.
+
+    The per-line checks of ``load_idf_table``, run only once the bulk checks
+    have failed, so some line or the empty table breaks a rule.
+    """
+    seen: set[str] = set()
+    for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf"), lines):
         value_s = value_s.strip()
         try:
             value = float(value_s)
@@ -373,12 +440,12 @@ def load_idf_table(path: str | Path) -> IdfTable:
             raise ValidationError(f"{path}:{lineno}: non-finite idf {value_s!r} for term {term!r}")
         if value < 0:
             raise ValidationError(f"{path}:{lineno}: negative idf {value} for term {term!r}")
-        if term in values:
+        if term in seen:
             raise ValidationError(f"{path}:{lineno}: repeated idf term {term!r}")
-        values[term] = value
-    if not values:
-        raise ValidationError(f"{path}: empty idf table")
-    return IdfTable(values=values, default_idf=max(values.values()))
+        seen.add(term)
+    if seen:
+        raise RuntimeError(f"{path}: the bulk idf checks rejected rows the line checks accept")
+    raise ValidationError(f"{path}: empty idf table")
 
 
 def load_reference_summary(path: str | Path) -> str:

@@ -193,7 +193,10 @@ def summary_from_json(path) -> Summary:
     ``total_words`` and ``budget`` integers (a boolean is not one),
     ``truncated`` a boolean, the rest strings.  Anything else is a DataError
     that names the file and the field; nothing is coerced.  An entry without
-    ``source_doc`` reads it as "".
+    ``source_doc`` reads it as "".  The summary must also keep the rules
+    ``assemble_from_ordering`` keeps: ``total_words`` is the sum of the
+    entries' ``words`` and at most ``budget``, no sentence id repeats, and
+    only the last entry may be truncated; a DataError names the broken one.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -213,12 +216,32 @@ def summary_from_json(path) -> Summary:
                 source_doc=_typed(path, e.get("source_doc", ""), str, f"{where}.source_doc"),
             )
         )
-    return Summary(
+    summary = Summary(
         entries=tuple(entries),
         total_words=_field(path, payload, "total_words", int),
         method=_field(path, payload, "method", str),
         budget=_field(path, payload, "budget", int),
     )
+    words = sum(e.words for e in entries)
+    if summary.total_words != words:
+        raise DataError(
+            f"{path}: summary total_words {summary.total_words} is not the sum of the "
+            f"entries' words ({words})"
+        )
+    if summary.total_words > summary.budget:
+        raise DataError(
+            f"{path}: summary total_words {summary.total_words} exceeds budget {summary.budget}"
+        )
+    seen: set[str] = set()
+    for k, e in enumerate(entries):
+        if e.sentence_id in seen:
+            raise DataError(
+                f"{path}: summary entries[{k}].id {e.sentence_id!r} repeats an earlier id"
+            )
+        seen.add(e.sentence_id)
+        if e.truncated and k != len(entries) - 1:
+            raise DataError(f"{path}: summary entries[{k}] is truncated but not the last entry")
+    return summary
 
 
 _JSON_TYPES = {

@@ -3,27 +3,31 @@
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
 DivRank base transitions and walk, the MMR ordering, the tokenizer, the
-similarity graph build with its one-pair cosine, and the DOT export that the
-package shipped before its vectorized kernels.  They are kept verbatim as
+similarity graph build with its one-pair cosine, the DOT export and the
+per-line IDF table loader that the package shipped before its vectorized
+kernels.  They are kept verbatim as
 oracles: same partition, same member order, the same IEEE value of Q, the
 same path statistics, the same visiting order, the same coefficient, the
 same transition matrix, the same DivRank scores, iteration count and
-residual, the same ordering, the same terms, the same weights and the same
-DOT text.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
+residual, the same ordering, the same terms, the same weights, the same
+DOT text, and the same IDF table (items in order, the default's bits) or the
+same exception type and message.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
 independent of the package's tokenizer too.  Test use only; the first two
 are cubic in the node count.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
 from citesum import rank
 from citesum.community import Clustering, _clustering_from_members
-from citesum.corpus import CitationSet, IdfTable
+from citesum.corpus import CitationSet, IdfTable, ParseError, ValidationError, _tsv_rows
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
 from citesum.rank import Ordering, RankScores, _divrank_base_transitions
@@ -291,3 +295,24 @@ def to_dot_oracle(g: SimilarityGraph, threshold: float = 0.10) -> str:
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def load_idf_table_oracle(path: str | Path) -> IdfTable:
+    """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf."""
+    values: dict[str, float] = {}
+    for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf")):
+        value_s = value_s.strip()
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad idf value {value_s!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: non-finite idf {value_s!r} for term {term!r}")
+        if value < 0:
+            raise ValidationError(f"{path}:{lineno}: negative idf {value} for term {term!r}")
+        if term in values:
+            raise ValidationError(f"{path}:{lineno}: repeated idf term {term!r}")
+        values[term] = value
+    if not values:
+        raise ValidationError(f"{path}: empty idf table")
+    return IdfTable(values=values, default_idf=max(values.values()))

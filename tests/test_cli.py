@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
+from citesum import cli
 from citesum.cli import main
 from citesum.evaluate import EvalReport
 
@@ -320,6 +323,33 @@ class TestEvaluate:
         assert code == 1
         assert "sX" in err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"total_words": 2}, "summary total_words 2 is not the sum of the entries' words (3)"),
+            ({"budget": 2}, "summary total_words 3 exceeds budget 2"),
+        ],
+    )
+    def test_pyramid_rejects_a_summary_that_breaks_a_rule(
+        self, paths, tmp_path, capsys, change, message
+    ):
+        summary = tmp_path / "broken.json"
+        entries = [
+            {"id": "s1", "text": "w w", "words": 2, "truncated": False, "source_doc": ""},
+            {"id": "s2", "text": "w", "words": 1, "truncated": True, "source_doc": ""},
+        ]
+        payload = {"method": "x", "budget": 10, "total_words": 3, "entries": entries, **change}
+        summary.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(
+            ["evaluate", "--metric", "pyramid", "--summary", str(summary),
+             "--citations", paths["citations"], "--annotations", paths["factoids"],
+             "--out", str(tmp_path / "pyr")],
+            capsys,
+        )
+        assert code == 1
+        assert f"{summary}: {message}" in err
+        assert not (tmp_path / "pyr.tsv").exists()
+
     @pytest.mark.parametrize("field, value", [("truncated", "false"), ("words", 3.9)])
     def test_pyramid_rejects_a_coercible_summary_field(self, paths, tmp_path, capsys, field, value):
         summary = tmp_path / "typed.json"
@@ -489,6 +519,38 @@ def test_flags_that_change_no_output_are_usage_errors(argv, paths, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    def summarize(self, paths, out_dir, capsys):
+        return run(
+            ["summarize", "--in", paths["citations"], "--idf", paths["idf"],
+             "--method", "lexrank", "--budget", "100", "--annotations", paths["factoids"],
+             "--out-dir", str(out_dir), "--scores-out", str(out_dir / "scores.tsv")],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o027])
+    def test_outputs_get_the_permissions_the_umask_leaves(self, umask, paths, tmp_path, capsys):
+        previous = os.umask(umask)
+        try:
+            code, _, _ = self.summarize(paths, tmp_path, capsys)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()}
+        assert len(modes) == 5  # summary text and JSON, report, scores, manifest
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+    def test_failed_rename_leaves_no_temporary_file(self, paths, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _, err = self.summarize(paths, tmp_path, capsys)
+        assert code == 1
+        assert "cannot rename" in err and ".tmp" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -1,8 +1,15 @@
 """Loader behavior: formats, validation, round trips."""
 
+import tracemalloc
+from unittest import mock
+
 import pytest
 from conftest import toy_citation_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import load_idf_table_oracle
 
+from citesum import corpus
 from citesum.corpus import (
     IdfTable,
     ParseError,
@@ -135,12 +142,112 @@ class TestIdfTable:
             load_idf_table(path)
 
     def test_direct_construction_validates(self):
-        with pytest.raises(ValidationError):
-            IdfTable({"w": -0.5})
-        with pytest.raises(ValidationError):
-            IdfTable({"w": float("nan")})
+        with pytest.raises(ValidationError, match="term 'w' must be finite and non-negative: -0.5"):
+            IdfTable({"ok": 1.0, "w": -0.5, "v": -1.0})
+        with pytest.raises(ValidationError, match="term 'w' must be finite and non-negative: nan"):
+            IdfTable({"ok": 1.0, "w": float("nan"), "v": -1.0})
         with pytest.raises(ValidationError):
             IdfTable({"w": 1.0}, default_idf=float("inf"))
+
+    def test_rows_with_two_tabs_and_none_do_not_pair_up(self, tmp_path):
+        path = write(tmp_path, "idf.tsv", "a\t1\t2\n3\n")  # four cells, two rows
+        with pytest.raises(ParseError, match=r":1: expected 'term<TAB>idf'"):
+            load_idf_table(path)
+
+    def test_line_checks_that_find_nothing_are_an_error(self, tmp_path):
+        path = write(tmp_path, "idf.tsv", "the\t0.5\n")
+        with mock.patch.object(corpus, "_idf_table_in_bulk", return_value=None):
+            with pytest.raises(RuntimeError, match="bulk idf checks rejected"):
+                load_idf_table(path)
+
+
+# Pieces of generated IDF files.  Every str.splitlines() line break, every
+# kind of padding str.strip() removes (U+001F is one that float() alone does
+# not), and values float() reads only after stripping or not at all.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+PADDING = ["", " ", "\t", "\xa0", "\x1f", "\u2003", "\u3000"]
+GOOD_VALUES = [
+    "0", "0.5", "4.2", "-0.0", "1_0", "1e-320", "+3", "7.", "1E2", "\u0661\u0662", "\uff11.5"
+]
+BAD_VALUES = [
+    "-1", "-1e-9", "nan", "inf", "-Infinity", "1e400", "", "abc", "1 2", "_1", "1__0", "0x1"
+]
+TERMS = ["the", "crf", "c#", "a b", " lead", "trail ", "\u00e9", "x\x1f", "", "\xa0nb"]
+COMMENTS = ["#", "# note", "#a\tb", "#\t1.0", " \t# indented", "\xa0#nbsp"]
+
+
+@st.composite
+def idf_texts(draw, valid: bool):
+    """An IDF file's text; with ``valid``, one the per-line loader accepts."""
+    pad = st.sampled_from(PADDING)
+    value_pad = st.sampled_from([p for p in PADDING if p != "\t"]) if valid else pad
+    value = st.sampled_from(GOOD_VALUES if valid else GOOD_VALUES + BAD_VALUES)
+    row = st.builds(lambda *parts: "".join(parts), value_pad, value, value_pad)
+    if valid:
+        terms = draw(st.lists(st.sampled_from(TERMS), min_size=1, unique=True))
+        lines = [term + "\t" + draw(row) for term in terms]
+    else:
+        term = st.sampled_from(TERMS + GOOD_VALUES + COMMENTS)
+        one_tab = st.builds(lambda t, v: t + "\t" + v, term, row)
+        no_tab = st.builds(lambda t, v: t + v, term, row)
+        two_tabs = st.builds(lambda t, v, w: t + "\t" + v + "\t" + w, term, row, row)
+        lines = draw(st.lists(st.one_of(one_tab, one_tab, one_tab, no_tab, two_tabs)))
+    for _ in range(draw(st.integers(0, 3))):
+        skipped = st.one_of(st.sampled_from(COMMENTS), st.lists(pad).map("".join))
+        lines.insert(draw(st.integers(0, len(lines))), draw(skipped))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def load_outcome(load, path):
+    """The table's items in order with each value's bits, or the error raised."""
+    try:
+        table = load(path)
+    except Exception as exc:  # the error is what is compared
+        return type(exc), str(exc)
+    return [(term, v.hex()) for term, v in table.values.items()], table.default_idf.hex()
+
+
+@pytest.fixture(scope="module")
+def idf_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("idf") / "idf.tsv"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(idf_texts(valid=False))
+def test_property_idf_loader_matches_per_line_oracle(idf_path, text):
+    idf_path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(load_idf_table, idf_path) == load_outcome(load_idf_table_oracle, idf_path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(idf_texts(valid=True))
+def test_property_valid_idf_file_never_reaches_the_line_loop(idf_path, text):
+    idf_path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(
+        corpus, "_raise_first_bad_idf_line", wraps=corpus._raise_first_bad_idf_line
+    ) as line_loop:
+        outcome = load_outcome(load_idf_table, idf_path)
+    assert outcome == load_outcome(load_idf_table_oracle, idf_path)
+    assert isinstance(outcome[0], list), outcome
+    assert line_loop.call_count == 0
+
+
+def test_idf_loader_peak_memory_is_within_twice_the_oracle(tmp_path):
+    rows = [
+        f"term{i:04d}{'xyz'[i % 3] * (i % 7)}\t{(i * 0.6180339887) % 9:.6f}" for i in range(5000)
+    ]
+    path = write(tmp_path, "idf.tsv", "\n".join(rows) + "\n")
+    peaks = {}
+    for load in (load_idf_table, load_idf_table_oracle):
+        load(path)  # first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks[load] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[load_idf_table] <= 2 * peaks[load_idf_table_oracle]
 
 
 class TestNuggetSpans:

@@ -83,7 +83,8 @@ def entry_field(key, value):
 
 
 class TestSummaryFromJson:
-    """Every field keeps the JSON type ``to_json`` writes; nothing is coerced."""
+    """Every field keeps the JSON type ``to_json`` writes and the summary keeps
+    the packer's rules; nothing is coerced."""
 
     @staticmethod
     def payload():
@@ -126,6 +127,34 @@ class TestSummaryFromJson:
         with pytest.raises(DataError) as info:
             summary_from_json(path)
         assert str(info.value).startswith(f"{path}: summary field {field} ")
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda p: p.__setitem__("total_words", 3),
+                "summary total_words 3 is not the sum of the entries' words (4)",
+            ),
+            (lambda p: p.__setitem__("budget", 3), "summary total_words 4 exceeds budget 3"),
+            (
+                lambda p: p["entries"][1].__setitem__("id", "s1"),
+                "summary entries[1].id 's1' repeats an earlier id",
+            ),
+            (
+                lambda p: p["entries"][0].__setitem__("truncated", True),
+                "summary entries[0] is truncated but not the last entry",
+            ),
+        ],
+        ids=["total-not-sum", "over-budget", "repeated-id", "truncated-not-last"],
+    )
+    def test_broken_rule_rejected_naming_file_and_rule(self, tmp_path, corrupt, message):
+        _, payload = self.payload()
+        corrupt(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            summary_from_json(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -264,9 +293,14 @@ def corpora_with_budgets(draw):
     return texts, draw(st.integers(1, 60)), draw(st.integers(0, 2**16))
 
 
+@pytest.fixture(scope="module")
+def summary_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("summary") / "summary.json"
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(corpora_with_budgets())
-def test_property_every_summarizer_fits_its_budget(case):
+def test_property_every_summarizer_fits_its_budget(summary_path, case):
     texts, budget, seed = case
     cs = toy_citation_set(texts)
     g = build_citation_summary_network(cs, uniform_idf())
@@ -276,3 +310,5 @@ def test_property_every_summarizer_fits_its_budget(case):
         assert summary.total_words == sum(e.words for e in summary.entries), method
         assert len(set(summary.sentence_ids)) == len(summary.sentence_ids), method
         assert not any(e.truncated for e in summary.entries[:-1]), method
+        summary_path.write_text(summary.to_json(), encoding="utf-8")
+        assert summary_from_json(summary_path) == summary, method
