@@ -45,7 +45,14 @@ from .rank import (
     mmr_order,
     random_order,
 )
-from .summarize import Summary, assemble_from_ordering, c_lexrank_summary, c_rr_summary
+from .summarize import (
+    Summary,
+    assemble_from_ordering,
+    c_lexrank_order,
+    c_lexrank_summary,
+    c_rr_order,
+    c_rr_summary,
+)
 
 __all__ = [
     "CitationSet",
@@ -71,7 +78,9 @@ __all__ = [
     "average_shortest_path",
     "build_citation_summary_network",
     "build_pyramid",
+    "c_lexrank_order",
     "c_lexrank_summary",
+    "c_rr_order",
     "c_rr_summary",
     "cluster_cnm",
     "clustering_coefficient",

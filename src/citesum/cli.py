@@ -56,52 +56,49 @@ from .rank import (
 )
 from .summarize import (
     assemble_from_ordering,
-    c_lexrank_summary,
-    c_rr_summary,
+    c_lexrank_order,
+    c_rr_order,
     summary_from_json,
 )
+# Not called here: bench/tracing.py patches these two by name in this module.
+from .summarize import c_lexrank_summary, c_rr_summary  # noqa: F401
 
 
 class Summarizer(NamedTuple):
-    """One ``--method``: ``run(cs, graph, cfg, budget, seed)`` returns the summary
-    and the scores it ranked by, or None unless ``yields_scores``."""
+    """One ``--method``: ``run(cs, graph, cfg, seed)`` returns an Ordering of every
+    sentence, or, if ``yields_scores``, the RankScores to order them by."""
 
     run: Callable
     needs_seed: bool = False
     yields_scores: bool = False
 
-
-def _by_scores(solve) -> Summarizer:
-    """The method that packs sentences in the order of ``solve(cs, graph, cfg)``'s scores."""
-
-    def run(cs, g, cfg, budget, seed):
-        scores = solve(cs, g, cfg)
-        order = Ordering(tuple(scores.ranked_ids()), scores.method)
-        return assemble_from_ordering(cs, order, budget), scores
-
-    return Summarizer(run, yields_scores=True)
+    def summarize(self, cs, g, cfg, budget, seed):
+        """``(Summary of budget words, the RankScores it ranked by or None)``."""
+        ranked = self.run(cs, g, cfg, seed)
+        scores = ranked if self.yields_scores else None
+        if scores is not None:
+            ranked = Ordering(tuple(scores.ranked_ids()), scores.method)
+        return assemble_from_ordering(cs, ranked, budget), scores
 
 
-# The lambdas look the summarizers up in this module when called, never at import.
+# The lambdas look the methods up in this module when called, never at import.
 SUMMARIZERS = {
-    "c-lexrank": Summarizer(lambda cs, g, cfg, budget, seed: (c_lexrank_summary(cs, g, budget, cfg), None)),
-    "c-rr": Summarizer(
-        lambda cs, g, cfg, budget, seed: (c_rr_summary(cs, g, budget, seed), None), needs_seed=True
+    "c-lexrank": Summarizer(lambda cs, g, cfg, seed: c_lexrank_order(g, cfg)),
+    "c-rr": Summarizer(lambda cs, g, cfg, seed: c_rr_order(g, seed), needs_seed=True),
+    "lexrank": Summarizer(
+        lambda cs, g, cfg, seed: lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping), yields_scores=True
     ),
-    "lexrank": _by_scores(lambda cs, g, cfg: lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping)),
-    "mmr": Summarizer(
-        lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, mmr_order(g), budget), None)
+    "mmr": Summarizer(lambda cs, g, cfg, seed: mmr_order(g)),
+    "divrank": Summarizer(
+        lambda cs, g, cfg, seed: divrank(g, cfg.divrank_lambda, cfg.divrank_alpha), yields_scores=True
     ),
-    "divrank": _by_scores(lambda cs, g, cfg: divrank(g, cfg.divrank_lambda, cfg.divrank_alpha)),
-    "divrank-prior": _by_scores(
-        lambda cs, g, cfg: divrank(
+    "divrank-prior": Summarizer(
+        lambda cs, g, cfg, seed: divrank(
             g, cfg.divrank_lambda, cfg.divrank_alpha, divrank_prior_from_length(cs, cfg.divrank_beta)
-        )
+        ),
+        yields_scores=True,
     ),
-    "random": Summarizer(
-        lambda cs, g, cfg, budget, seed: (assemble_from_ordering(cs, random_order(cs, seed), budget), None),
-        needs_seed=True,
-    ),
+    "random": Summarizer(lambda cs, g, cfg, seed: random_order(cs, seed), needs_seed=True),
 }
 
 
@@ -191,7 +188,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary, scores = method.run(cs, graph, cfg, args.budget, seed)
+        summary, scores = method.summarize(cs, graph, cfg, args.budget, seed)
         suffix = f".t{trial:03d}" if trials > 1 else ""
         base = f"{stem}.{args.method}.{args.budget}{suffix}"
         outputs[f"{base}.txt"] = summary.to_text()

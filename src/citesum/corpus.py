@@ -120,6 +120,13 @@ class NuggetSpanAnnotation:
         return self.sentence_spans.get(sentence_id, ())
 
 
+def _finite_non_negative(value) -> bool:
+    try:
+        return math.isfinite(value) and value >= 0
+    except TypeError:  # not a number
+        return False
+
+
 @dataclass(frozen=True)
 class IdfTable:
     """term -> inverse document frequency; unseen terms get ``default_idf``.
@@ -133,15 +140,19 @@ class IdfTable:
 
     def __post_init__(self):
         idfs = self.values.values()
-        if not (all(map(math.isfinite, idfs)) and min(idfs, default=0.0) >= 0):
+        try:  # one C-level pass; a value that is no number raises TypeError
+            valid = all(map(math.isfinite, idfs)) and min(idfs, default=0.0) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
             for term, v in self.values.items():  # name the first bad term
-                if not (math.isfinite(v) and v >= 0):
+                if not _finite_non_negative(v):
                     raise ValidationError(
-                        f"idf for term {term!r} must be finite and non-negative: {v}"
+                        f"idf for term {term!r} must be finite and non-negative: {v!r}"
                     )
-        if not (math.isfinite(self.default_idf) and self.default_idf >= 0):
+        if not _finite_non_negative(self.default_idf):
             raise ValidationError(
-                f"default idf must be finite and non-negative: {self.default_idf}"
+                f"default idf must be finite and non-negative: {self.default_idf!r}"
             )
 
     def idf(self, term: str) -> float:

@@ -29,10 +29,9 @@ class RankScores:
     residual: float
 
     def ranked_ids(self) -> list[str]:
-        """Node ids by descending score; ties keep input (insertion) order."""
-        ids = list(self.scores)
-        order = {node: i for i, node in enumerate(ids)}
-        return sorted(ids, key=lambda node: (-self.scores[node], order[node]))
+        """Node ids by descending score; ties keep input (insertion) order,
+        since ``sorted`` is stable."""
+        return sorted(self.scores, key=lambda node: -self.scores[node])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Word-budgeted extractive summaries.
 
-The cluster-then-rank summarizer partitions the similarity network into
-communities, ranks each community's sentences by within-cluster LexRank, and
-round-robins across communities in decreasing size order so each pass adds
-one more perspective.  The round-robin variant replaces the within-cluster
-ranking with seeded uniform picks.  Every summarizer ends in a full Ordering
-that ``assemble_from_ordering`` packs under the word budget.
+The cluster-then-rank ordering (``c_lexrank_order``) partitions the
+similarity network into communities, ranks each community's sentences by
+within-cluster LexRank, and round-robins across communities in decreasing
+size order so each pass adds one more perspective.  The round-robin variant
+(``c_rr_order``) replaces the within-cluster ranking with seeded uniform
+picks.  Like every method, both return a full Ordering and never see the
+budget; ``assemble_from_ordering`` packs an ordering under the word budget,
+and ``c_lexrank_summary`` / ``c_rr_summary`` are the one-call forms.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -119,30 +122,46 @@ def _cluster_members(g: SimilarityGraph, clustering: Clustering) -> list[list[in
     return members
 
 
-def _clustered_rankings(
-    g: SimilarityGraph, clustering: Clustering, cfg: RunConfig
-) -> dict[int, list[str]]:
-    """Within-cluster salience orderings on the induced binarized subgraphs."""
-    rankings: dict[int, list[str]] = {}
-    for c, idx in enumerate(_cluster_members(g, clustering)):
+def _cluster_round_robin(g: SimilarityGraph, clustering: Clustering, order_cluster, method: str) -> Ordering:
+    """Every sentence, one per cluster per pass, clusters in visiting order.
+
+    ``order_cluster`` is called on each cluster's node indices, clusters in
+    visiting order, and returns the cluster's sentence ids in picking order.
+    """
+    members = _cluster_members(g, clustering)
+    queues = [order_cluster(members[c]) for c in cluster_visit_order(g, clustering)]
+    picks = [sid for row in zip_longest(*queues) for sid in row if sid is not None]
+    return Ordering(tuple(picks), method)
+
+
+def c_lexrank_order(
+    g: SimilarityGraph, cfg: RunConfig | None = None, clustering: Clustering | None = None
+) -> Ordering:
+    """Cluster the network, then take each cluster's most salient unpicked
+    sentence (LexRank on its induced subgraph) per pass, largest cluster first.
+
+    ``clustering`` overrides the detected communities (the single-cluster case
+    reduces this ordering to the plain LexRank baseline's).
+    """
+    cfg = cfg or RunConfig()
+
+    def by_salience(idx: list[int]) -> list[str]:
         sub = g.induced_subgraph(idx)
-        scores = lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-        rankings[c] = scores.ranked_ids()
-    return rankings
+        return lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping).ranked_ids()
+
+    return _cluster_round_robin(g, clustering or cluster_cnm(g), by_salience, "c-lexrank")
 
 
-def _round_robin(
-    visit_order: list[int],
-    per_cluster: dict[int, list[str]],
-) -> list[str]:
-    """Interleave cluster queues: one sentence per cluster per pass."""
-    queues = {c: list(per_cluster[c]) for c in visit_order}
-    selection: list[str] = []
-    while any(queues.values()):
-        for c in visit_order:
-            if queues[c]:
-                selection.append(queues[c].pop(0))
-    return selection
+def c_rr_order(g: SimilarityGraph, seed: int, clustering: Clustering | None = None) -> Ordering:
+    """Same cluster visiting order, but each cluster seeded-shuffled, in that order."""
+    rng = random.Random(seed)
+
+    def shuffled(idx: list[int]) -> list[str]:
+        ids = [g.nodes[i] for i in idx]
+        rng.shuffle(ids)
+        return ids
+
+    return _cluster_round_robin(g, clustering or cluster_cnm(g), shuffled, "c-rr")
 
 
 def c_lexrank_summary(
@@ -152,18 +171,8 @@ def c_lexrank_summary(
     cfg: RunConfig | None = None,
     clustering: Clustering | None = None,
 ) -> Summary:
-    """Cluster the network, then pick each cluster's most salient unselected
-    sentence per pass, clusters visited largest first.
-
-    ``clustering`` overrides the detected communities (the single-cluster case
-    reduces this summarizer to the plain LexRank baseline).
-    """
-    cfg = cfg or RunConfig()
-    clustering = clustering or cluster_cnm(g)
-    visit = cluster_visit_order(g, clustering)
-    rankings = _clustered_rankings(g, clustering, cfg)
-    order = Ordering(tuple(_round_robin(visit, rankings)), "c-lexrank")
-    return assemble_from_ordering(cs, order, budget)
+    """``c_lexrank_order`` packed under ``budget`` words."""
+    return assemble_from_ordering(cs, c_lexrank_order(g, cfg, clustering), budget)
 
 
 def c_rr_summary(
@@ -173,17 +182,8 @@ def c_rr_summary(
     seed: int,
     clustering: Clustering | None = None,
 ) -> Summary:
-    """Same cluster visiting order, but uniform seeded picks within clusters."""
-    clustering = clustering or cluster_cnm(g)
-    visit = cluster_visit_order(g, clustering)
-    members = _cluster_members(g, clustering)
-    rng = random.Random(seed)
-    shuffled: dict[int, list[str]] = {}
-    for c in visit:
-        shuffled[c] = [g.nodes[i] for i in members[c]]
-        rng.shuffle(shuffled[c])
-    order = Ordering(tuple(_round_robin(visit, shuffled)), "c-rr")
-    return assemble_from_ordering(cs, order, budget)
+    """``c_rr_order`` packed under ``budget`` words."""
+    return assemble_from_ordering(cs, c_rr_order(g, seed, clustering), budget)
 
 
 def summary_from_json(path) -> Summary:
@@ -194,9 +194,11 @@ def summary_from_json(path) -> Summary:
     ``truncated`` a boolean, the rest strings.  Anything else is a DataError
     that names the file and the field; nothing is coerced.  An entry without
     ``source_doc`` reads it as "".  The summary must also keep the rules
-    ``assemble_from_ordering`` keeps: ``total_words`` is the sum of the
-    entries' ``words`` and at most ``budget``, no sentence id repeats, and
-    only the last entry may be truncated; a DataError names the broken one.
+    ``assemble_from_ordering`` keeps: no count is negative, each entry's
+    ``words`` is the word count of its ``text`` (``len(text.split())``, a
+    truncated entry's too), no sentence id repeats, only the last entry may
+    be truncated, and ``total_words`` is the sum of the entries' ``words``
+    and at most ``budget``; a DataError names the broken one.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -222,6 +224,25 @@ def summary_from_json(path) -> Summary:
         method=_field(path, payload, "method", str),
         budget=_field(path, payload, "budget", int),
     )
+    for name, count in (("budget", summary.budget), ("total_words", summary.total_words)):
+        if count < 0:
+            raise DataError(f"{path}: summary {name} {count} is negative")
+    seen: set[str] = set()
+    for k, e in enumerate(entries):
+        if e.words < 0:
+            raise DataError(f"{path}: summary entries[{k}].words {e.words} is negative")
+        if e.words != len(e.text.split()):
+            raise DataError(
+                f"{path}: summary entries[{k}].words {e.words} is not the word count of its "
+                f"text ({len(e.text.split())})"
+            )
+        if e.sentence_id in seen:
+            raise DataError(
+                f"{path}: summary entries[{k}].id {e.sentence_id!r} repeats an earlier id"
+            )
+        seen.add(e.sentence_id)
+        if e.truncated and k != len(entries) - 1:
+            raise DataError(f"{path}: summary entries[{k}] is truncated but not the last entry")
     words = sum(e.words for e in entries)
     if summary.total_words != words:
         raise DataError(
@@ -232,15 +253,6 @@ def summary_from_json(path) -> Summary:
         raise DataError(
             f"{path}: summary total_words {summary.total_words} exceeds budget {summary.budget}"
         )
-    seen: set[str] = set()
-    for k, e in enumerate(entries):
-        if e.sentence_id in seen:
-            raise DataError(
-                f"{path}: summary entries[{k}].id {e.sentence_id!r} repeats an earlier id"
-            )
-        seen.add(e.sentence_id)
-        if e.truncated and k != len(entries) - 1:
-            raise DataError(f"{path}: summary entries[{k}] is truncated but not the last entry")
     return summary
 
 

@@ -5,13 +5,15 @@ all-pairs BFS, the cluster visiting order, the clustering coefficient, the
 DivRank base transitions and walk, the MMR ordering, the tokenizer, the
 similarity graph build with its one-pair cosine, the DOT export and the
 per-line IDF table loader that the package shipped before its vectorized
-kernels.  They are kept verbatim as
+kernels, and the C-LexRank and C-RR summarizers that drained per-cluster
+queues and packed the budget themselves before every summarizer returned an
+ordering.  They are kept verbatim as
 oracles: same partition, same member order, the same IEEE value of Q, the
 same path statistics, the same visiting order, the same coefficient, the
 same transition matrix, the same DivRank scores, iteration count and
 residual, the same ordering, the same terms, the same weights, the same
-DOT text, and the same IDF table (items in order, the default's bits) or the
-same exception type and message.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
+DOT text, the same IDF table (items in order, the default's bits) or the
+same exception type and message, and the same summary.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
 independent of the package's tokenizer too.  Test use only; the first two
 are cubic in the node count.
 """
@@ -19,6 +21,7 @@ are cubic in the node count.
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import deque
 from pathlib import Path
@@ -26,11 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from citesum import rank
-from citesum.community import Clustering, _clustering_from_members
-from citesum.corpus import CitationSet, IdfTable, ParseError, ValidationError, _tsv_rows
+from citesum.community import Clustering, _clustering_from_members, cluster_cnm
+from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, ValidationError, _tsv_rows
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
-from citesum.rank import Ordering, RankScores, _divrank_base_transitions
+from citesum.rank import Ordering, RankScores, _divrank_base_transitions, lexrank
+from citesum.summarize import Summary, _cluster_members, assemble_from_ordering, cluster_visit_order
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -316,3 +320,70 @@ def load_idf_table_oracle(path: str | Path) -> IdfTable:
     if not values:
         raise ValidationError(f"{path}: empty idf table")
     return IdfTable(values=values, default_idf=max(values.values()))
+
+
+def _clustered_rankings_oracle(
+    g: SimilarityGraph, clustering: Clustering, cfg: RunConfig
+) -> dict[int, list[str]]:
+    """Within-cluster salience orderings on the induced binarized subgraphs."""
+    rankings: dict[int, list[str]] = {}
+    for c, idx in enumerate(_cluster_members(g, clustering)):
+        sub = g.induced_subgraph(idx)
+        scores = lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
+        rankings[c] = scores.ranked_ids()
+    return rankings
+
+
+def _round_robin_oracle(
+    visit_order: list[int],
+    per_cluster: dict[int, list[str]],
+) -> list[str]:
+    """Interleave cluster queues: one sentence per cluster per pass."""
+    queues = {c: list(per_cluster[c]) for c in visit_order}
+    selection: list[str] = []
+    while any(queues.values()):
+        for c in visit_order:
+            if queues[c]:
+                selection.append(queues[c].pop(0))
+    return selection
+
+
+def c_lexrank_summary_oracle(
+    cs: CitationSet,
+    g: SimilarityGraph,
+    budget: int,
+    cfg: RunConfig | None = None,
+    clustering: Clustering | None = None,
+) -> Summary:
+    """Cluster the network, then pick each cluster's most salient unselected
+    sentence per pass, clusters visited largest first.
+
+    ``clustering`` overrides the detected communities (the single-cluster case
+    reduces this summarizer to the plain LexRank baseline).
+    """
+    cfg = cfg or RunConfig()
+    clustering = clustering or cluster_cnm(g)
+    visit = cluster_visit_order(g, clustering)
+    rankings = _clustered_rankings_oracle(g, clustering, cfg)
+    order = Ordering(tuple(_round_robin_oracle(visit, rankings)), "c-lexrank")
+    return assemble_from_ordering(cs, order, budget)
+
+
+def c_rr_summary_oracle(
+    cs: CitationSet,
+    g: SimilarityGraph,
+    budget: int,
+    seed: int,
+    clustering: Clustering | None = None,
+) -> Summary:
+    """Same cluster visiting order, but uniform seeded picks within clusters."""
+    clustering = clustering or cluster_cnm(g)
+    visit = cluster_visit_order(g, clustering)
+    members = _cluster_members(g, clustering)
+    rng = random.Random(seed)
+    shuffled: dict[int, list[str]] = {}
+    for c in visit:
+        shuffled[c] = [g.nodes[i] for i in members[c]]
+        rng.shuffle(shuffled[c])
+    order = Ordering(tuple(_round_robin_oracle(visit, shuffled)), "c-rr")
+    return assemble_from_ordering(cs, order, budget)

@@ -328,6 +328,20 @@ class TestEvaluate:
         [
             ({"total_words": 2}, "summary total_words 2 is not the sum of the entries' words (3)"),
             ({"budget": 2}, "summary total_words 3 exceeds budget 2"),
+            ({"budget": -1}, "summary budget -1 is negative"),
+            ({"total_words": -3}, "summary total_words -3 is negative"),
+            (
+                {"total_words": 0, "entries": [
+                    {"id": "s1", "text": "", "words": -1, "truncated": False, "source_doc": ""}
+                ]},
+                "summary entries[0].words -1 is negative",
+            ),
+            (
+                {"total_words": 2, "entries": [
+                    {"id": "s1", "text": "w w w", "words": 2, "truncated": True, "source_doc": ""}
+                ]},
+                "summary entries[0].words 2 is not the word count of its text (3)",
+            ),
         ],
     )
     def test_pyramid_rejects_a_summary_that_breaks_a_rule(

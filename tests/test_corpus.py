@@ -149,6 +149,12 @@ class TestIdfTable:
         with pytest.raises(ValidationError):
             IdfTable({"w": 1.0}, default_idf=float("inf"))
 
+    def test_direct_construction_rejects_a_non_number(self):
+        with pytest.raises(ValidationError, match="term 'a' must be finite and non-negative: 'x'"):
+            IdfTable({"ok": 1.0, "a": "x", "v": -1.0})
+        with pytest.raises(ValidationError, match="default idf must be finite and non-negative: None"):
+            IdfTable({"w": 1.0}, default_idf=None)
+
     def test_rows_with_two_tabs_and_none_do_not_pair_up(self, tmp_path):
         path = write(tmp_path, "idf.tsv", "a\t1\t2\n3\n")  # four cells, two rows
         with pytest.raises(ParseError, match=r":1: expected 'term<TAB>idf'"):

@@ -8,6 +8,7 @@ from conftest import make_graph, symmetric_random_graph, toy_citation_set, two_c
 
 from citesum.rank import (
     Ordering,
+    RankScores,
     divrank,
     divrank_prior_from_length,
     lexrank,
@@ -278,6 +279,12 @@ def test_scores_tsv_sorted_descending():
     values = [float(v) for _, v in rows]
     assert values == sorted(values, reverse=True)
     assert all(len(v.split(".")[1]) == 6 for _, v in rows)
+
+
+def test_tied_scores_keep_input_order():
+    scores = RankScores({"c": 0.2, "a": 0.3, "d": 0.2, "b": 0.2, "e": 0.1}, "manual", 1, 0.0)
+    assert scores.ranked_ids() == ["a", "c", "d", "b", "e"]
+    assert scores_to_tsv(scores) == "a\t0.300000\nc\t0.200000\nd\t0.200000\nb\t0.200000\ne\t0.100000\n"
 
 
 def test_ordering_rejects_duplicates():

@@ -8,6 +8,7 @@ import pytest
 from conftest import make_graph, toy_citation_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import c_lexrank_summary_oracle, c_rr_summary_oracle
 
 from citesum.cli import SUMMARIZERS
 from citesum.community import Clustering
@@ -144,8 +145,25 @@ class TestSummaryFromJson:
                 lambda p: p["entries"][0].__setitem__("truncated", True),
                 "summary entries[0] is truncated but not the last entry",
             ),
+            (lambda p: p.__setitem__("budget", -1), "summary budget -1 is negative"),
+            (lambda p: p.__setitem__("total_words", -4), "summary total_words -4 is negative"),
+            (
+                lambda p: p["entries"][0].__setitem__("words", -3),
+                "summary entries[0].words -3 is negative",
+            ),
+            (
+                lambda p: p["entries"][0].__setitem__("words", 2),
+                "summary entries[0].words 2 is not the word count of its text (3)",
+            ),
+            (
+                lambda p: p["entries"][1].__setitem__("words", 2),
+                "summary entries[1].words 2 is not the word count of its text (1)",
+            ),
         ],
-        ids=["total-not-sum", "over-budget", "repeated-id", "truncated-not-last"],
+        ids=[
+            "total-not-sum", "over-budget", "repeated-id", "truncated-not-last", "negative-budget",
+            "negative-total", "negative-words", "words-not-text-count", "truncated-words-not-text-count",
+        ],
     )
     def test_broken_rule_rejected_naming_file_and_rule(self, tmp_path, corrupt, message):
         _, payload = self.payload()
@@ -305,10 +323,39 @@ def test_property_every_summarizer_fits_its_budget(summary_path, case):
     cs = toy_citation_set(texts)
     g = build_citation_summary_network(cs, uniform_idf())
     for method, summarizer in SUMMARIZERS.items():
-        summary, _ = summarizer.run(cs, g, RunConfig(), budget, seed)
+        summary, _ = summarizer.summarize(cs, g, RunConfig(), budget, seed)
         assert summary.total_words <= budget, method
         assert summary.total_words == sum(e.words for e in summary.entries), method
         assert len(set(summary.sentence_ids)) == len(summary.sentence_ids), method
         assert not any(e.truncated for e in summary.entries[:-1]), method
         summary_path.write_text(summary.to_json(), encoding="utf-8")
         assert summary_from_json(summary_path) == summary, method
+
+
+@st.composite
+def corpora_with_clusterings(draw):
+    """A corpus case plus a threshold and, half the time, a clustering of up to four labels."""
+    texts, budget, seed = draw(corpora_with_budgets())
+    threshold = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    labels = draw(st.none() | st.lists(st.integers(0, 3), min_size=len(texts), max_size=len(texts)))
+    return texts, budget, seed, threshold, labels
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(corpora_with_clusterings())
+def test_property_cluster_summaries_equal_the_queue_oracles(case):
+    texts, budget, seed, threshold, labels = case
+    cs = toy_citation_set(texts)
+    g = build_citation_summary_network(cs, uniform_idf())
+    cfg = RunConfig(lexrank_edge_threshold=threshold)
+    clustering = None
+    if labels is not None:
+        dense = {label: k for k, label in enumerate(sorted(set(labels)))}
+        clustering = Clustering({sid: dense[c] for sid, c in zip(cs.ids, labels)}, g=len(dense), q=0.0)
+    lexrank_oracle = c_lexrank_summary_oracle(cs, g, budget, cfg, clustering)
+    rr_oracle = c_rr_summary_oracle(cs, g, budget, seed, clustering)
+    assert c_lexrank_summary(cs, g, budget, cfg, clustering) == lexrank_oracle
+    assert c_rr_summary(cs, g, budget, seed, clustering) == rr_oracle
+    if clustering is None:  # the path cmd_summarize takes
+        assert SUMMARIZERS["c-lexrank"].summarize(cs, g, cfg, budget, seed) == (lexrank_oracle, None)
+        assert SUMMARIZERS["c-rr"].summarize(cs, g, cfg, budget, seed) == (rr_oracle, None)
