@@ -1,21 +1,24 @@
-"""Reference kernels the fast ones in ``citesum`` must match exactly.
+"""Reference kernels the fast ones in ``citesum`` must match.
 
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
-DivRank base transitions and walk, the MMR ordering, the tokenizer, the
-similarity graph build with its one-pair cosine, the DOT export and the
-per-line IDF table loader that the package shipped before its vectorized
-kernels, and the C-LexRank and C-RR summarizers that drained per-cluster
-queues and packed the budget themselves before every summarizer returned an
-ordering.  They are kept verbatim as
-oracles: same partition, same member order, the same IEEE value of Q, the
-same path statistics, the same visiting order, the same coefficient, the
-same transition matrix, the same DivRank scores, iteration count and
-residual, the same ordering, the same terms, the same weights, the same
-DOT text, the same IDF table (items in order, the default's bits) or the
-same exception type and message, and the same summary.  The graph oracle tokenizes with ``tokenize_oracle``, so it is
-independent of the package's tokenizer too.  Test use only; the first two
-are cubic in the node count.
+LexRank and DivRank transitions, the DivRank walk, the MMR ordering, the
+seeded random ordering, the tokenizer, the similarity graph build with its
+one-pair cosine, the DOT export and the per-line IDF table loader that the
+package shipped before its vectorized kernels, and the C-LexRank and C-RR
+summarizers that drained per-cluster queues and packed the budget
+themselves before every summarizer returned an ordering.  They are kept
+verbatim as oracles: same partition, same member order, the same IEEE value
+of Q, the same path statistics, the same visiting order, the same
+coefficient, the same transition matrices, the same ordering, the same
+terms, the same weights, the same DOT text, the same IDF table (items in
+order, the default's bits) or the same exception type and message, and the
+same summary.  DivRank gives the same scores, iteration count and residual
+while its transitions fit in one block of ``citesum.rank.DIVRANK_BLOCK_BYTES``;
+over several blocks, the same iteration count and scores within a stated
+relative bound (see ``tests/test_kernels.py``).  The graph oracle tokenizes
+with ``tokenize_oracle``, so it is independent of the package's tokenizer
+too.  Test use only; the first two are cubic in the node count.
 """
 
 from __future__ import annotations
@@ -159,6 +162,17 @@ def clustering_coefficient_oracle(g: SimilarityGraph, threshold: float = 0.10) -
     return total / n
 
 
+def transition_matrix_oracle(adj: np.ndarray) -> np.ndarray:
+    """LexRank's row-stochastic transitions, dividing only the rows with edges."""
+    n = adj.shape[0]
+    t = adj.astype(float)
+    degrees = t.sum(axis=1)
+    dangling = degrees == 0
+    t[dangling, :] = 1.0 / n
+    t[~dangling, :] /= degrees[~dangling, None]
+    return t
+
+
 def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndarray:
     """alpha*w(u,v)/deg(u) off-diagonal and 1-alpha self, row by row; isolated rows stay put."""
     n = len(g)
@@ -236,6 +250,16 @@ def mmr_order_oracle(g: SimilarityGraph) -> Ordering:
         remaining.remove(pick)
         np.maximum(max_sim_to_selected, w[pick], out=max_sim_to_selected)
     return Ordering(ids=tuple(g.nodes[i] for i in selected), method="mmr")
+
+
+def random_order_oracle(cs: CitationSet, seed: int) -> Ordering:
+    """Seeded Fisher-Yates permutation, one ``randint(0, i)`` swap per position."""
+    ids = list(cs.ids)
+    rng = random.Random(seed)
+    for i in range(len(ids) - 1, 0, -1):
+        j = rng.randint(0, i)
+        ids[i], ids[j] = ids[j], ids[i]
+    return Ordering(ids=tuple(ids), method="random")
 
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")

@@ -2,12 +2,15 @@
 
 Equality here is strict: the same partition with the same member order, Q
 compared with ``==``, path statistics compared as exact tuples, the
-clustering coefficient compared with ``==``, the DivRank transitions, the
-DivRank scores and the similarity weights with ``np.array_equal``, DivRank's
-iteration count and residual and the MMR ordering with ``==``, and the DOT
-text with ``==``.
+clustering coefficient compared with ``==``, the LexRank and DivRank
+transitions, the DivRank scores and the similarity weights with
+``np.array_equal``, DivRank's iteration count and residual and the MMR
+ordering with ``==``, and the DOT text with ``==``.  The one exception is
+DivRank over several blocks of rows, whose scores must agree to the relative
+bound ``DIVRANK_BLOCKED_RTOL``.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -27,6 +30,7 @@ from oracles import (
     divrank_oracle,
     mmr_order_oracle,
     to_dot_oracle,
+    transition_matrix_oracle,
 )
 
 from citesum.community import Clustering, block_sums, cluster_cnm, modularity
@@ -40,7 +44,13 @@ from citesum.graph import (
     to_dot,
 )
 from citesum.lexical import TokenizerConfig
-from citesum.rank import _divrank_base_transitions, divrank, divrank_prior_from_length, mmr_order
+from citesum.rank import (
+    _divrank_base_transitions,
+    _transition_matrix,
+    divrank,
+    divrank_prior_from_length,
+    mmr_order,
+)
 from citesum.summarize import cluster_visit_order
 
 FAMILIES = ("uniform", "quantized", "sparse-binary")
@@ -222,6 +232,34 @@ def test_divrank_transitions_single_node():
     assert _divrank_base_transitions(g, 0.25).tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lexrank_transitions_match_oracle(family):
+    rng = np.random.default_rng(FAMILIES.index(family) + 521)
+    for _ in range(40):
+        # dangling rows go uniform
+        g, _ = with_isolated_nodes(rng, int(rng.integers(1, 60)), family, 0.2)
+        adj = g.binarize(float(rng.uniform(0.0, 0.9)))
+        assert np.array_equal(_transition_matrix(adj), transition_matrix_oracle(adj))
+
+
+@pytest.mark.parametrize("walk", ["lexrank", "divrank"])
+def test_transitions_are_built_in_place(walk):
+    # The n x n result plus O(n) vectors; one n x n temporary would double it.
+    g, _ = with_isolated_nodes(np.random.default_rng(531), 300, "uniform", 0.1)
+    if walk == "lexrank":
+        build = functools.partial(_transition_matrix, g.binarize(0.1))
+    else:
+        build = functools.partial(_divrank_base_transitions, g, 0.25)
+    build()  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        t = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * t.nbytes
+
+
 def assert_same_divrank(g, **kwargs) -> np.ndarray:
     fast, oracle = divrank(g, **kwargs), divrank_oracle(g, **kwargs)
     assert list(fast.scores) == list(oracle.scores)
@@ -278,6 +316,85 @@ def test_divrank_matches_oracle_with_an_empty_mask():
     # sweep, so in the second sweep n0 has p > 0 but d = 0 and n1 has p = 0.
     g = make_graph([[0.0, 0.5], [0.5, 0.0]])
     scores = assert_same_divrank(g, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
+    assert scores.tolist() == [1.0, 0.0]
+
+
+# Over several blocks of rows, DivRank adds its reinforced product block by
+# block, so the summation order differs from the one-pass oracle's.  Scores
+# then agree to this relative bound (observed: under 4e-15), the iteration
+# counts exactly, and the orderings wherever the oracle's scores are further
+# apart than the bound allows either side to move.
+DIVRANK_BLOCKED_RTOL = 1e-12
+
+
+def assert_close_divrank(g, rows: int, monkeypatch, **kwargs) -> np.ndarray:
+    """DivRank in blocks of ``rows`` rows (the last one ragged) against the oracle."""
+    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * len(g) * rows)
+    fast, oracle = divrank(g, **kwargs), divrank_oracle(g, **kwargs)
+    assert list(fast.scores) == list(oracle.scores)
+    assert fast.iterations == oracle.iterations
+    assert fast.method == oracle.method
+    scores = np.array(list(fast.scores.values()))
+    expected = np.array(list(oracle.scores.values()))
+    np.testing.assert_allclose(scores, expected, rtol=DIVRANK_BLOCKED_RTOL, atol=0.0)
+    # oracle order, cut where neighbours differ by more than both may move
+    ranked = oracle.ranked_ids()
+    runs = [[ranked[0]]]
+    for above, below in zip(ranked, ranked[1:]):
+        if oracle.scores[above] - oracle.scores[below] > 2 * DIVRANK_BLOCKED_RTOL * oracle.scores[above]:
+            runs.append([])
+        runs[-1].append(below)
+    got = fast.ranked_ids()
+    start = 0
+    for run in runs:
+        assert set(got[start : start + len(run)]) == set(run)
+        start += len(run)
+    return scores
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("isolated_share", [0.0, 0.2])
+def test_divrank_in_several_blocks_matches_oracle(family, isolated_share, monkeypatch):
+    rng = np.random.default_rng(FAMILIES.index(family) + (1211 if isolated_share else 1201))
+    for _ in range(4):
+        n = int(rng.integers(5, 61))
+        g, _ = with_isolated_nodes(rng, n, family, isolated_share)
+        texts = [" ".join(["w"] * int(k)) for k in rng.integers(0, 40, n)]
+        length_prior = divrank_prior_from_length(toy_citation_set(texts, ids=list(g.nodes)))
+        lam = float(rng.uniform(0.5, 0.95))
+        alpha = float(rng.uniform(0.05, 0.95))
+        # one-row blocks, then two to n - 1 rows with a ragged last block
+        for rows in (1, int(rng.integers(2, n))):
+            for prior in (None, length_prior):
+                assert_close_divrank(g, rows, monkeypatch, lam=lam, alpha=alpha, prior=prior)
+
+
+def test_divrank_in_several_blocks_when_mass_underflows(monkeypatch):
+    # As in the one-block case above, zero-prior isolated nodes underflow to
+    # 0 and take the masked product from then on; here they sit in some
+    # blocks of rows and not in others.
+    monkeypatch.setattr("citesum.rank.RESIDUAL_TOLERANCE", -1.0)
+    monkeypatch.setattr("citesum.rank.MAX_ITERATIONS", 1000)
+    rng = np.random.default_rng(1301)
+    for trial in range(8):
+        family = FAMILIES[trial % len(FAMILIES)]
+        n = int(rng.integers(8, 24))
+        isolated = np.arange(n) >= rng.integers(n // 2, n)  # only in the last blocks
+        w = random_graph(rng, n, family).weights.copy()
+        w[isolated, :] = 0.0
+        w[:, isolated] = 0.0
+        g = make_graph(w)
+        prior = {node: (0.0 if iso else float(rng.uniform(0.1, 1.0))) for node, iso in zip(g.nodes, isolated)}
+        for rows in (1, 3):
+            scores = assert_close_divrank(g, rows, monkeypatch, lam=0.3, prior=prior)
+            assert np.all(scores[isolated] == 0.0)
+            assert np.all(np.isfinite(scores))
+
+
+def test_divrank_in_several_blocks_with_an_empty_mask(monkeypatch):
+    # One row per block: n0's block has p > 0 but d = 0, n1's has p = 0.
+    g = make_graph([[0.0, 0.5], [0.5, 0.0]])
+    scores = assert_close_divrank(g, 1, monkeypatch, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
     assert scores.tolist() == [1.0, 0.0]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import make_graph, symmetric_random_graph, toy_citation_set, two_cliques_graph
+from oracles import random_order_oracle
 
 from citesum.rank import (
     Ordering,
@@ -257,6 +258,12 @@ class TestRandomOrder:
         cs = toy_citation_set([f"sentence {i}" for i in range(8)])
         assert random_order(cs, 7).ids == random_order(cs, 7).ids
         assert random_order(cs, 7).ids != random_order(cs, 8).ids
+
+    def test_matches_the_randint_swap_loop(self):
+        for n in range(300):
+            cs = toy_citation_set([f"sentence {i}" for i in range(n)])
+            for seed in range(5):
+                assert random_order(cs, seed) == random_order_oracle(cs, seed)
 
     def test_uniform_over_permutations(self):
         cs = toy_citation_set(["a", "b", "c", "d"])
