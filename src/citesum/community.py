@@ -85,15 +85,22 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     partition had when its Q was reached.  A last merge whose gain is below
     half an ulp of Q leaves Q unchanged, so it is not part of the prefix.
 
-    Each alive row i caches the best gain over alive columns j > i and the
-    first column reaching it.  A merge of j into i changes only the gains
-    that involve i or j, so it refreshes row i, the rows whose cached column
-    was i or j, and compares gain(k, i) against the cache of every other row
-    k < i.  The step's pair is the argmax over the row cache.  Each gain is
-    read from the upper triangle with the same IEEE arithmetic as a rescan
-    of every pair, so the partition and Q equal those of a full rescan at
+    The gains live in one n x n matrix, built in place: ``gain[r, c]`` is
+    2*(e[r,c] - a[r]*a[c]) for alive clusters r < c and -inf everywhere else.
+    Each alive row caches its largest gain and the first column reaching it,
+    and the step's pair is the argmax over that cache.  A merge of j into i
+    computes the merged cluster's gains once from row i of ``e``, writes them
+    into row i (columns > i) and column i (rows < i), and sets column j to
+    -inf.  A row's cache can then only be wrong if its cached column was i
+    or j, or if its new gain to i is at least its cached gain (an equal gain
+    goes to the lower column), so only those alive rows are rescanned, in
+    one gather.  Both folds add the same two IEEE values to e[i,k] and
+    e[k,i], so ``e`` stays exactly symmetric off the diagonal and the gain
+    read from row i has the bits of the upper-triangle value a rescan of
+    every pair reads: the partition and Q equal those of a full rescan at
     every step.  Cost: O(n) vectorized work per merge plus O(n) per
-    refreshed row, so O(n^2) in the usual case, plus one O(n) replay.
+    rescanned row, so O(n^2) in the usual case, plus one O(n) replay.
+    Memory: two n x n float arrays, ``e`` and the gains.
     """
     n = len(g)
     if n == 0:
@@ -118,15 +125,16 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
     best_q = q
     best_merges = 0  # the best partition is singletons after this many merges
 
-    # Row cache: best_val[i] = max gain over alive j > i, best_col[i] = the
-    # first such j; -inf for dead rows and rows with no alive column right of
-    # them.
-    best_val = np.full(n, -np.inf)
-    best_col = np.zeros(n, dtype=np.intp)
-    _refresh_rows(e, a, alive, np.arange(n), best_val, best_col)
+    gain = np.multiply.outer(a, a)
+    np.subtract(e, gain, out=gain)
+    gain *= 2.0
+    gain[np.tri(n, dtype=bool)] = -np.inf
+    best_col = gain.argmax(axis=1)
+    best_val = gain.max(axis=1)
+    merged = np.empty(n)  # the merged cluster's gains
 
     while True:
-        i = int(np.argmax(best_val))  # lowest row among the best
+        i = int(best_val.argmax())  # lowest row among the best
         best_gain = best_val[i]
         if not best_gain > 0.0:
             break
@@ -135,6 +143,9 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
         e[i, :] += e[j, :]
         e[:, i] += e[:, j]
         a[i] += a[j]
+        # A dead cluster's degree fraction is inf, so every gain against it
+        # is -inf: a merge needs e[i,j] > 0, which makes a[i] > 0.
+        a[j] = np.inf
         merges.append((i, j))
         alive[j] = False
         best_val[j] = -np.inf
@@ -143,47 +154,27 @@ def cluster_cnm(g: SimilarityGraph) -> Clustering:
             best_q = q
             best_merges = len(merges)
 
-        # Rows that lost their cached column (j) or saw its gain change (i);
-        # row i itself is among them, since its cached column was j.
-        stale = alive & ((best_col == i) | (best_col == j))
-        _refresh_rows(e, a, alive, np.flatnonzero(stale), best_val, best_col)
-        # Every other row k < i: only gain(k, i) changed; equal gains go to
-        # the lower column.
-        k = np.flatnonzero(alive[:i] & ~stale[:i])
-        gain = 2.0 * (e[k, i] - a[k] * a[i])
-        cached = best_val[k]
-        better = (gain > cached) | ((gain == cached) & (i < best_col[k]))
-        best_val[k[better]] = gain[better]
-        best_col[k[better]] = i
+        np.multiply(a, a[i], out=merged)
+        np.subtract(e[i], merged, out=merged)
+        merged *= 2.0
+        gain[i, i + 1 :] = merged[i + 1 :]
+        gain[:i, i] = merged[:i]
+        gain[:j, j] = -np.inf
+
+        # Row i is among the rescanned rows, since its cached column was j.
+        stale = (best_col == i) | (best_col == j)
+        stale[:i] |= merged[:i] >= best_val[:i]
+        stale &= alive
+        rows = np.flatnonzero(stale)
+        block = gain[rows]
+        best_col[rows] = block.argmax(axis=1)
+        best_val[rows] = block.max(axis=1)
 
     parents = {c: [c] for c in range(n)}  # cluster index -> member node indices
     for i, j in merges[:best_merges]:
         parents[i].extend(parents[j])
         del parents[j]
     return _clustering_from_members(g, list(parents.values()), best_q)
-
-
-_REFRESH_BLOCK = 64  # rows per block: bounds the temporary at 64 x n gains
-
-
-def _refresh_rows(
-    e: np.ndarray,
-    a: np.ndarray,
-    alive: np.ndarray,
-    rows: np.ndarray,
-    best_val: np.ndarray,
-    best_col: np.ndarray,
-) -> None:
-    """Recompute the row cache of ``rows`` over their alive columns j > row."""
-    n = len(a)
-    columns = np.arange(n)
-    for start in range(0, len(rows), _REFRESH_BLOCK):
-        block = rows[start : start + _REFRESH_BLOCK]
-        gains = 2.0 * (e[block] - a[block, None] * a)
-        gains[~(alive & (columns > block[:, None]))] = -np.inf
-        col = np.argmax(gains, axis=1)
-        best_col[block] = col
-        best_val[block] = gains[np.arange(len(block)), col]
 
 
 def _clustering_from_members(

@@ -73,6 +73,8 @@ def lexrank(
     Power iteration with an L1 stopping rule.
     """
     n = len(g)
+    if n == 0:
+        raise ValueError("cannot rank an empty graph")
     t = _transition_matrix(g.binarize(threshold))
     p = np.full(n, 1.0 / n)
     jump = (1.0 - damping) / n
@@ -136,6 +138,8 @@ def divrank(
     and then ``d > 0``, since every row of the base transitions sums to 1.
     """
     n = len(g)
+    if n == 0:
+        raise ValueError("cannot rank an empty graph")
     if prior is None:
         p_star = np.full(n, 1.0 / n)
     else:

@@ -272,21 +272,49 @@ def networkx():
     return pytest.importorskip("networkx")
 
 
+def to_networkx(networkx, g: SimilarityGraph):
+    """The weighted graph as a networkx ``Graph``, one edge per nonzero weight."""
+    nx_graph = networkx.Graph()
+    nx_graph.add_nodes_from(g.nodes)
+    for i, j in zip(*np.nonzero(np.triu(g.weights, 1))):
+        nx_graph.add_edge(g.nodes[i], g.nodes[j], weight=g.weights[i, j])
+    return nx_graph
+
+
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(permuted_random_graphs(), st.lists(st.integers(0, 3), min_size=16, max_size=16))
 def test_property_modularity_matches_networkx(networkx, case, labels):
     g, _ = case
     assume(g.weights.sum() > 0.0)
     assignment = {node: labels[i] for i, node in enumerate(g.nodes)}
-    nx_graph = networkx.Graph()
-    nx_graph.add_nodes_from(g.nodes)
-    for i, j in zip(*np.nonzero(np.triu(g.weights, 1))):
-        nx_graph.add_edge(g.nodes[i], g.nodes[j], weight=g.weights[i, j])
+    nx_graph = to_networkx(networkx, g)
     communities = [
         {node for node, label in assignment.items() if label == c} for c in set(labels[: len(g)])
     ]
     expected = networkx.community.modularity(nx_graph, communities, weight="weight")
     assert abs(modularity(g, assignment) - expected) <= 1e-12
+
+
+@st.composite
+def tie_free_graphs(draw):
+    """Uniform weights at a drawn density: no two merge gains tie, so the tie rules never matter."""
+    n = draw(st.integers(3, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    w *= rng.uniform(size=(n, n)) < draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    return make_graph(w + w.T)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(tie_free_graphs())
+def test_property_cnm_matches_networkx(networkx, g):
+    # networkx breaks ties differently, so graphs with ties are left to
+    # cluster_cnm_oracle in test_kernels.py.
+    assume(g.weights.sum() > 0.0)
+    nx_graph = to_networkx(networkx, g)
+    expected = networkx.community.greedy_modularity_communities(nx_graph, weight="weight")
+    got = cluster_cnm(g)
+    assert {frozenset(m) for m in got.clusters()} == {frozenset(m) for m in expected}
 
 
 def test_clustering_tsv_export():

@@ -82,6 +82,13 @@ def test_cnm_matches_oracle_on_random_graphs(family):
         assert_same_clustering(cluster_cnm(g), cluster_cnm_oracle(g))
 
 
+@pytest.mark.parametrize("family", ["uniform", "quantized"])
+def test_cnm_matches_oracle_at_bench_size(family):
+    # At 150 nodes most merges leave many dead rows below the merged one.
+    g = random_graph(np.random.default_rng(FAMILIES.index(family) + 151), 150, family)
+    assert_same_clustering(cluster_cnm(g), cluster_cnm_oracle(g))
+
+
 def test_cnm_matches_oracle_on_fixture(nine_citations, nine_idf):
     g = build_citation_summary_network(nine_citations, nine_idf)
     assert_same_clustering(cluster_cnm(g), cluster_cnm_oracle(g))
@@ -258,6 +265,21 @@ def test_transitions_are_built_in_place(walk):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * t.nbytes
+
+
+def test_cnm_holds_two_matrices():
+    # e and the gain matrix, n x n each, plus O(n) vectors and the n x n
+    # boolean mask of the initial build.
+    n = 300
+    g = random_graph(np.random.default_rng(541), n, "uniform")
+    cluster_cnm(g)  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        cluster_cnm(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * n * n * 8
 
 
 def assert_same_divrank(g, **kwargs) -> np.ndarray:

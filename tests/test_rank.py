@@ -7,6 +7,7 @@ import pytest
 from conftest import make_graph, symmetric_random_graph, toy_citation_set, two_cliques_graph
 from oracles import random_order_oracle
 
+from citesum.community import cluster_cnm
 from citesum.rank import (
     Ordering,
     RankScores,
@@ -292,6 +293,20 @@ def test_tied_scores_keep_input_order():
     scores = RankScores({"c": 0.2, "a": 0.3, "d": 0.2, "b": 0.2, "e": 0.1}, "manual", 1, 0.0)
     assert scores.ranked_ids() == ["a", "c", "d", "b", "e"]
     assert scores_to_tsv(scores) == "a\t0.300000\nc\t0.200000\nd\t0.200000\nb\t0.200000\ne\t0.100000\n"
+
+
+@pytest.mark.parametrize(
+    ("function", "message"),
+    [
+        (lexrank, "cannot rank an empty graph"),
+        (divrank, "cannot rank an empty graph"),
+        (mmr_order, "cannot order an empty graph"),
+        (cluster_cnm, "cannot cluster an empty graph"),
+    ],
+)
+def test_empty_graph_raises_value_error(function, message):
+    with pytest.raises(ValueError, match=message):
+        function(make_graph(np.zeros((0, 0))))
 
 
 def test_ordering_rejects_duplicates():
