@@ -25,52 +25,27 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
-    DataError,
-    RunConfig,
-    load_citation_set,
-    load_factoid_annotation,
-    load_idf_table,
-    load_nugget_spans,
-    load_run_config,
-    load_reference_summary,
-    uniform_idf,
+    DataError, RunConfig, load_citation_set, load_factoid_annotation, load_idf_table, load_nugget_spans,
+    load_reference_summary, load_run_config, uniform_idf,
 )
-from .evaluate import (
-    EvalReport,
-    build_pyramid,
-    ngram_kappa,
-    pyramid_score,
-    report_to_tsv,
-    rouge_n,
-)
+from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
 from .lexical import TokenizerConfig
-from .rank import (
-    Ordering,
-    divrank,
-    divrank_prior_from_length,
-    lexrank,
-    mmr_order,
-    random_order,
-    scores_to_tsv,
-)
-from .summarize import (
-    assemble_from_ordering,
-    c_lexrank_order,
-    c_rr_order,
-    summary_from_json,
-)
+from .rank import Ordering, divrank, divrank_prior_from_length, lexrank, mmr_order, random_order, scores_to_tsv
+from .summarize import assemble_from_ordering, c_lexrank_order, c_rr_order, summary_from_json
 # Not called here: bench/tracing.py patches these two by name in this module.
 from .summarize import c_lexrank_summary, c_rr_summary  # noqa: F401
 
 
 class Summarizer(NamedTuple):
     """One ``--method``: ``run(cs, graph, cfg, seed)`` returns an Ordering of every
-    sentence, or, if ``yields_scores``, the RankScores to order them by."""
+    sentence, or, if ``yields_scores``, the RankScores to order them by.  A method
+    that does not ``reads_graph`` gets None for the graph, which is never built."""
 
     run: Callable
     needs_seed: bool = False
     yields_scores: bool = False
+    reads_graph: bool = True
 
     def summarize(self, cs, g, cfg, budget, seed):
         """``(Summary of budget words, the RankScores it ranked by or None)``."""
@@ -98,7 +73,7 @@ SUMMARIZERS = {
         ),
         yields_scores=True,
     ),
-    "random": Summarizer(lambda cs, g, cfg, seed: random_order(cs, seed), needs_seed=True),
+    "random": Summarizer(lambda cs, g, cfg, seed: random_order(cs, seed), needs_seed=True, reads_graph=False),
 }
 
 
@@ -106,9 +81,9 @@ def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 to a temporary file beside ``path``, then rename it over ``path``.
 
     The temporary file is created with mode 0o666, so the final file gets
-    the permissions the umask leaves, like any new file.
+    the permissions the umask leaves, like any new file.  The directory must
+    exist; ``_write_files`` creates it.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -120,37 +95,49 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_files(files: dict[Path, str]) -> None:
+    """The one writer: create each parent directory once, then write the files atomically, in order."""
+    for parent in dict.fromkeys(path.parent for path in files):
+        parent.mkdir(parents=True, exist_ok=True)
+    for path, text in files.items():
+        _write_atomic(path, text)
+
+
 def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-class _Timings:
-    def __init__(self):
+class _Run:
+    """What a graph subcommand reads, and the seconds each stage of its run took.
+
+    The config is ``--config`` with the flags on top; each config flag's dest
+    is its RunConfig field.  Stage ``load`` reads the tokenizer, citation
+    set, IDF table and any ``--annotations``; stage ``graph`` builds the
+    sentence graph, or leaves ``graph`` None if not ``build_graph``.
+    """
+
+    def __init__(self, args: argparse.Namespace, build_graph: bool = True):
         self.stages: dict[str, float] = {}
         self._last = time.perf_counter()
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        if args.config:
+            self.cfg = load_run_config(args.config, overrides)
+        else:
+            self.cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
+        tokenizer = TokenizerConfig.from_run_config(self.cfg)
+        self.cs = load_citation_set(args.infile)
+        idf = load_idf_table(args.idf) if args.idf else uniform_idf()
+        annotations = getattr(args, "annotations", None)
+        self.annotation = load_factoid_annotation(annotations, self.cs) if annotations else None
+        self.mark("load")
+        self.graph = build_citation_summary_network(self.cs, idf, tokenizer) if build_graph else None
+        self.mark("graph")
 
     def mark(self, stage: str) -> None:
+        """Record the seconds since the previous mark as ``stage``."""
         now = time.perf_counter()
         self.stages[stage] = round(now - self._last, 6)
         self._last = now
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """``--config`` with the flags on top; each config flag's dest is its RunConfig field."""
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    if args.config:
-        return load_run_config(args.config, overrides)
-    return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-
-
-def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
-    """The citation set, the idf table and the tokenizer the graph build reads."""
-    tokenizer = TokenizerConfig.from_run_config(cfg)
-    cs = load_citation_set(args.infile)
-    idf = load_idf_table(args.idf) if args.idf else uniform_idf()
-    return cs, idf, tokenizer
 
 
 def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -167,55 +154,36 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         ranking = sorted(name for name, m in SUMMARIZERS.items() if m.yields_scores)
         parser.error(f"--scores-out is only valid for {ranking}")
 
-    timings = _Timings()
-    cfg = _resolve_config(args)
-    cs, idf, tokenizer = _load_inputs(args, cfg)
-    annotation = (
-        load_factoid_annotation(args.annotations, cs) if args.annotations else None
-    )
-    timings.mark("load")
-
-    graph = build_citation_summary_network(cs, idf, tokenizer)
-    timings.mark("graph")
-
+    run = _Run(args, build_graph=method.reads_graph)
     out_dir = Path(args.out_dir)
-    stem = Path(args.infile).stem
+    name = f"{Path(args.infile).stem}.{args.method}.{args.budget}"
     trials = args.trials if args.trials is not None else 1
-    outputs: dict[str, str] = {}
-    extra_writes: list[tuple[Path, str]] = []
+    outputs: dict[Path, str] = {}
     reports: list[EvalReport] = []
-    pyramid = build_pyramid(annotation) if annotation else None
-
+    pyramid = build_pyramid(run.annotation) if run.annotation else None
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary, scores = method.summarize(cs, graph, cfg, args.budget, seed)
-        suffix = f".t{trial:03d}" if trials > 1 else ""
-        base = f"{stem}.{args.method}.{args.budget}{suffix}"
-        outputs[f"{base}.txt"] = summary.to_text()
-        outputs[f"{base}.json"] = summary.to_json()
-        if annotation and pyramid:
-            reports.append(pyramid_score(summary, annotation, pyramid))
-    timings.mark("summarize")
-
-    if args.scores_out:  # a ranking method, so a single trial with scores
-        extra_writes.append((Path(args.scores_out), scores_to_tsv(scores)))
+        summary, scores = method.summarize(run.cs, run.graph, run.cfg, args.budget, seed)
+        base = f"{name}.t{trial:03d}" if trials > 1 else name
+        outputs[out_dir / f"{base}.txt"] = summary.to_text()
+        outputs[out_dir / f"{base}.json"] = summary.to_json()
+        if pyramid:
+            reports.append(pyramid_score(summary, run.annotation, pyramid))
+    run.mark("summarize")
 
     if reports:
         total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
         for r in reports:
             total += r.pyramid_score
-        mean = total / len(reports)
-        tsv = report_to_tsv(reports)
-        tsv += f"# mean_pyramid={mean:.6f}\n"
-        outputs[f"{stem}.{args.method}.{args.budget}.report.tsv"] = tsv
-    timings.mark("evaluate")
+        tsv = report_to_tsv(reports) + f"# mean_pyramid={total / len(reports):.6f}\n"
+        outputs[out_dir / f"{name}.report.tsv"] = tsv
+    if args.scores_out:  # a ranking method, so a single trial with scores
+        outputs[Path(args.scores_out)] = scores_to_tsv(scores)
+    run.mark("evaluate")
 
     # All computation succeeded; only now touch the filesystem.
-    for name, text in outputs.items():
-        _write_atomic(out_dir / name, text)
-    for path, text in extra_writes:
-        _write_atomic(path, text)
-    timings.mark("write")
+    _write_files(outputs)
+    run.mark("write")
 
     manifest = {
         "tool": "citesum",
@@ -225,23 +193,22 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "budget": args.budget,
         "seed": args.seed,
         "trials": trials,
-        "config": asdict(cfg),
+        "config": asdict(run.cfg),
         "inputs": {
             str(p): _sha256(p)
-            for p in [args.infile, args.idf, args.annotations, args.config, cfg.stopword_path]
+            for p in [args.infile, args.idf, args.annotations, args.config, run.cfg.stopword_path]
             if p
         },
-        "outputs": sorted(outputs),
-        "timings": timings.stages,
+        "outputs": sorted(map(str, outputs)),
+        "timings": run.stages,
     }
-    manifest_path = out_dir / f"{stem}.{args.method}.{args.budget}.manifest.json"
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    manifest_path = out_dir / f"{name}.manifest.json"
+    _write_files({manifest_path: json.dumps(manifest, indent=2) + "\n"})
     print(manifest_path)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    out_prefix = Path(args.out)
     if args.metric == "pyramid":
         if not (args.summary and args.citations and args.annotations):
             parser.error("--metric pyramid requires --summary, --citations, --annotations")
@@ -252,42 +219,35 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             pyramid_score(summary_from_json(path), annotation, pyramid)
             for path in args.summary
         ]
-        _write_atomic(out_prefix.with_suffix(".tsv"), report_to_tsv(reports))
-        detail = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-        _write_atomic(out_prefix.with_suffix(".json"), detail)
+        tsv, payload = report_to_tsv(reports), [r.to_dict() for r in reports]
     elif args.metric == "rouge":
         if not (args.candidate and args.references):
             parser.error("--metric rouge requires --candidate and --references")
         candidate = load_reference_summary(args.candidate)
         references = [load_reference_summary(p) for p in args.references]
-        scores = {
-            n: rouge_n(candidate, references, n, jackknife=args.jackknife) for n in (1, 2)
+        payload = {
+            f"rouge_{n}": rouge_n(candidate, references, n, jackknife=args.jackknife) for n in (1, 2)
         }
-        lines = ["metric\tvalue"]
-        lines += [f"rouge_{n}\t{score:.6f}" for n, score in sorted(scores.items())]
-        _write_atomic(out_prefix.with_suffix(".tsv"), "\n".join(lines) + "\n")
-        payload = {f"rouge_{n}": score for n, score in sorted(scores.items())}
+        tsv = "metric\tvalue\n" + "".join(f"{key}\t{score:.6f}\n" for key, score in payload.items())
         payload["jackknife"] = args.jackknife
-        _write_atomic(out_prefix.with_suffix(".json"), json.dumps(payload, indent=2) + "\n")
     else:  # kappa
         if not (args.citations and args.spans_a and args.spans_b):
             parser.error("--metric kappa requires --citations, --spans-a, --spans-b")
         cs = load_citation_set(args.citations)
         ann_a = _single_annotator(load_nugget_spans(args.spans_a, cs), args.spans_a)
         ann_b = _single_annotator(load_nugget_spans(args.spans_b, cs), args.spans_b)
-        kappas = {
-            n: ngram_kappa(ann_a, ann_b, cs, n, chance_model=args.chance_model)
-            for n in (1, 2, 3)
+        payload = {
+            name: ngram_kappa(ann_a, ann_b, cs, n, chance_model=args.chance_model)
+            for n, name in ((1, "unigram"), (2, "bigram"), (3, "trigram"))
         }
-        names = {1: "unigram", 2: "bigram", 3: "trigram"}
-        header = "pair\t" + "\t".join(names[n] for n in (1, 2, 3))
-        row = f"{ann_a.annotator} vs {ann_b.annotator}\t" + "\t".join(
-            f"{kappas[n]:.6f}" for n in (1, 2, 3)
-        )
-        _write_atomic(out_prefix.with_suffix(".tsv"), header + "\n" + row + "\n")
-        payload = {names[n]: kappas[n] for n in (1, 2, 3)}
+        tsv = "pair\t" + "\t".join(payload) + "\n"
+        tsv += f"{ann_a.annotator} vs {ann_b.annotator}\t" + "\t".join(f"{k:.6f}" for k in payload.values()) + "\n"
         payload["chance_model"] = args.chance_model
-        _write_atomic(out_prefix.with_suffix(".json"), json.dumps(payload, indent=2) + "\n")
+    out_prefix = Path(args.out)
+    _write_files({
+        out_prefix.with_suffix(".tsv"): tsv,
+        out_prefix.with_suffix(".json"): json.dumps(payload, indent=2) + "\n",
+    })
     print(out_prefix.with_suffix(".tsv"))
     return 0
 
@@ -301,10 +261,8 @@ def _single_annotator(annotations: dict, path) -> "object":
 
 
 def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _resolve_config(args)
-    cs, idf, tokenizer = _load_inputs(args, cfg)
-    graph = build_citation_summary_network(cs, idf, tokenizer)
-    threshold = cfg.lexrank_edge_threshold
+    run = _Run(args)
+    graph, threshold = run.graph, run.cfg.lexrank_edge_threshold
     coefficient = clustering_coefficient(graph, threshold)
     paths = average_shortest_path(graph, threshold)
     clustering = cluster_cnm(graph)
@@ -322,22 +280,20 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if len(graph) == 1:
         print("caveat\tsingle-node graph: C is trivially 0 and Q is degenerate")
     if args.dot:
-        _write_atomic(Path(args.dot), to_dot(graph, threshold))
+        _write_files({Path(args.dot): to_dot(graph, threshold)})
         print(f"dot\t{args.dot}")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cs, idf, tokenizer = _load_inputs(args, _resolve_config(args))
-    graph = build_citation_summary_network(cs, idf, tokenizer)
-    clustering = cluster_cnm(graph)
-    _write_atomic(Path(args.out), clustering_to_tsv(clustering, graph.nodes))
+    graph = _Run(args).graph
+    _write_files({Path(args.out): clustering_to_tsv(cluster_cnm(graph), graph.nodes)})
     print(args.out)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    """The inputs of every subcommand that builds the graph."""
+def _add_common(sub: argparse.ArgumentParser, threshold: bool = True) -> None:
+    """The inputs of every subcommand that builds the graph, and ``--threshold`` if it reads one."""
     sub.add_argument("--in", dest="infile", required=True, help="citation set (JSON lines)")
     sub.add_argument("--idf", help="IDF table TSV (default: uniform idf of 1.0)")
     sub.add_argument("--config", help="key = value config file; flags win over its values")
@@ -345,13 +301,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--stopwords", dest="stopword_path", metavar="STOPWORDS",
         help="stopword list, one word per line",
     )
-
-
-def _add_threshold(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--threshold", type=float, dest="lexrank_edge_threshold", metavar="THRESHOLD",
-        help="edge threshold for LexRank and the binarized statistics",
-    )
+    if threshold:
+        sub.add_argument(
+            "--threshold", type=float, dest="lexrank_edge_threshold", metavar="THRESHOLD",
+            help="edge threshold for LexRank and the binarized statistics",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = subs.add_parser("summarize", help="write a word-budgeted extractive summary")
     _add_common(p_sum)
-    _add_threshold(p_sum)
     p_sum.add_argument(
         "--damping", type=float, dest="lexrank_damping", metavar="DAMPING",
         help="teleport damping for LexRank",
@@ -376,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--annotations", help="factoid TSV; adds a pyramid report")
     p_sum.add_argument("--out-dir", default=".", help="directory for output files")
     p_sum.add_argument("--scores-out", help="also write the salience scores TSV")
-    p_sum.add_argument("--divrank-lambda", type=float, dest="divrank_lambda")
-    p_sum.add_argument("--divrank-alpha", type=float, dest="divrank_alpha")
-    p_sum.add_argument("--divrank-beta", type=float, dest="divrank_beta")
+    for name in ("lambda", "alpha", "beta"):
+        p_sum.add_argument(f"--divrank-{name}", type=float)
     p_sum.set_defaults(func=cmd_summarize)
 
     p_eval = subs.add_parser("evaluate", help="score summaries or annotations")
@@ -392,19 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--jackknife", action="store_true", help="leave-one-reference-out (rouge)")
     p_eval.add_argument("--spans-a", help="first annotator span TSV (kappa)")
     p_eval.add_argument("--spans-b", help="second annotator span TSV (kappa)")
-    p_eval.add_argument(
-        "--chance-model", choices=("cohen", "scott", "uniform"), default="cohen"
-    )
+    p_eval.add_argument("--chance-model", choices=("cohen", "scott", "uniform"), default="cohen")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_stats = subs.add_parser("graph-stats", help="small-world statistics of the sentence graph")
     _add_common(p_stats)
-    _add_threshold(p_stats)
     p_stats.add_argument("--dot", help="also write the binarized graph in DOT format")
     p_stats.set_defaults(func=cmd_graph_stats)
 
     p_cluster = subs.add_parser("cluster", help="detect communities and export the partition")
-    _add_common(p_cluster)
+    _add_common(p_cluster, threshold=False)
     p_cluster.add_argument("--out", required=True, help="clustering TSV path")
     p_cluster.set_defaults(func=cmd_cluster)
 
@@ -416,10 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

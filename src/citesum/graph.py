@@ -265,8 +265,11 @@ def to_dot(g: SimilarityGraph, threshold: float = 0.10) -> str:
     lines = ["graph citation_summary_network {"]
     for node in g.nodes:
         lines.append(f'  "{node}";')
-    # np.nonzero lists the upper triangle's edges in row-major order.
-    for i, j in zip(*np.nonzero(np.triu(g.binarize(threshold), 1))):
-        lines.append(f'  "{g.nodes[i]}" -- "{g.nodes[j]}" [label="{g.weights[i, j]:.4f}"];')
+    # np.nonzero lists the upper triangle's edges in row-major order; the
+    # edges are formatted from Python ints and floats, not numpy scalars.
+    rows, cols = np.nonzero(np.triu(g.binarize(threshold), 1))
+    nodes = g.nodes
+    for i, j, w in zip(rows.tolist(), cols.tolist(), g.weights[rows, cols].tolist()):
+        lines.append(f'  "{nodes[i]}" -- "{nodes[j]}" [label="{w:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

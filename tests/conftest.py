@@ -41,6 +41,12 @@ def nine_idf(fixture_paths):
     return load_idf_table(fixture_paths["idf"])
 
 
+@pytest.fixture(scope="session")
+def networkx():
+    """networkx, the independent reference for the graph kernels; its tests skip without it."""
+    return pytest.importorskip("networkx")
+
+
 def make_graph(weights, names=None) -> SimilarityGraph:
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]

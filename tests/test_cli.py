@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,35 @@ class TestSummarize:
         )
         info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
         assert (info["budget"], info["seed"], info["trials"]) == (40, None, 1)
+
+    @pytest.mark.parametrize("method", list(cli.SUMMARIZERS))
+    def test_only_methods_that_read_the_graph_build_it(self, method, paths, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = cli.build_citation_summary_network
+        monkeypatch.setattr(cli, "build_citation_summary_network", lambda *a: builds.append(1) or build(*a))
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--idf", paths["idf"], "--method", method,
+             "--budget", "30", "--seed", "1", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert len(builds) == (0 if method == "random" else 1) == int(cli.SUMMARIZERS[method].reads_graph)
+
+    @pytest.mark.parametrize("flag", ["--idf", "--stopwords"])
+    def test_random_still_reads_idf_and_stopwords(self, flag, paths, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("term\tnot-a-number\n", encoding="utf-8")
+        argv = ["summarize", "--in", paths["citations"], "--method", "random", "--budget", "30",
+                "--seed", "1", "--out-dir", str(tmp_path / "out")]
+        code, _, err = run(argv + [flag, str(bad if flag == "--idf" else tmp_path / "missing.txt")], capsys)
+        assert code == 1 and "error" in err
+        assert not (tmp_path / "out").exists()
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\n", encoding="utf-8")
+        good = paths["idf"] if flag == "--idf" else str(stopwords)
+        code, out, _ = run(argv + [flag, good], capsys)
+        assert code == 0
+        assert good in json.loads(Path(out.strip()).read_text())["inputs"]
 
     def test_non_finite_config_float_is_data_error(self, paths, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -555,6 +585,21 @@ class TestOutputFiles:
         modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()}
         assert len(modes) == 5  # summary text and JSON, report, scores, manifest
         assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+    def test_manifest_lists_every_file_written(self, paths, tmp_path, capsys):
+        out_dir, scores = tmp_path / "out", tmp_path / "scores" / "deep" / "scores.tsv"
+        code, out, _ = run(
+            ["summarize", "--in", paths["citations"], "--idf", paths["idf"],
+             "--method", "lexrank", "--budget", "100", "--annotations", paths["factoids"],
+             "--out-dir", str(out_dir), "--scores-out", str(scores)],
+            capsys,
+        )
+        assert code == 0
+        manifest = out_dir / "w05-0622.lexrank.100.manifest.json"
+        assert out == f"{manifest}\n"
+        written = sorted(str(f) for f in tmp_path.rglob("*") if f.is_file() and f != manifest)
+        assert len(written) == 4  # summary text and JSON, report, scores
+        assert json.loads(manifest.read_text())["outputs"] == written
 
     def test_failed_rename_leaves_no_temporary_file(self, paths, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):

@@ -267,11 +267,6 @@ def test_property_cnm_is_permutation_equivariant(case):
     assert abs(a.q - b.q) <= 1e-12
 
 
-@pytest.fixture(scope="module")
-def networkx():
-    return pytest.importorskip("networkx")
-
-
 def to_networkx(networkx, g: SimilarityGraph):
     """The weighted graph as a networkx ``Graph``, one edge per nonzero weight."""
     nx_graph = networkx.Graph()

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from conftest import make_graph, symmetric_random_graph, toy_citation_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import split_random_graphs
 
 from citesum.corpus import uniform_idf
 from citesum.graph import (
@@ -176,3 +179,30 @@ class TestDotExport:
     def test_threshold_filters_edges(self):
         g = make_graph([[0.0, 0.05], [0.05, 0.0]], names=["a", "b"])
         assert "--" not in to_dot(g, 0.1)
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.1, 0.3, 0.6])
+
+
+def to_binary_networkx(networkx, g, threshold):
+    """The binarized graph as a networkx ``Graph`` on nodes 0..n-1."""
+    return networkx.from_numpy_array(g.binarize(threshold).astype(int))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(split_random_graphs(), THRESHOLDS)
+def test_property_clustering_coefficient_matches_networkx(networkx, g, threshold):
+    expected = networkx.average_clustering(to_binary_networkx(networkx, g, threshold))
+    assert abs(clustering_coefficient(g, threshold) - expected) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(split_random_graphs(), THRESHOLDS)
+def test_property_average_shortest_path_matches_networkx(networkx, g, threshold):
+    n = len(g)
+    lengths = dict(networkx.all_pairs_shortest_path_length(to_binary_networkx(networkx, g, threshold)))
+    hops = [lengths[i][j] for i in range(n) for j in range(i + 1, n) if j in lengths[i]]
+    pairs = n * (n - 1) // 2
+    got = average_shortest_path(g, threshold)
+    assert got.average == (sum(hops) / len(hops) if hops else float("inf"))
+    assert got.disconnected_fraction == ((pairs - len(hops)) / pairs if pairs else 0.0)

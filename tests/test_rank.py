@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 from conftest import make_graph, symmetric_random_graph, toy_citation_set, two_cliques_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import random_order_oracle
+from strategies import split_random_graphs
 
 from citesum.community import cluster_cnm
 from citesum.rank import (
+    RESIDUAL_TOLERANCE,
     Ordering,
     RankScores,
     divrank,
@@ -312,3 +316,89 @@ def test_empty_graph_raises_value_error(function, message):
 def test_ordering_rejects_duplicates():
     with pytest.raises(ValueError, match="permutation"):
         Ordering(ids=("a", "a"), method="x")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(split_random_graphs(), st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([0.5, 0.85, 0.95]))
+def test_property_lexrank_matches_networkx_pagerank(networkx, g, threshold, damping):
+    scores = lexrank(g, threshold, damping)
+    digraph = networkx.from_numpy_array(g.binarize(threshold).astype(int), create_using=networkx.DiGraph)
+    expected = networkx.pagerank(digraph, alpha=damping, weight=None, tol=1e-15, max_iter=100_000)
+    got = np.array([scores.scores[node] for node in g.nodes])
+    want = np.array([expected[i] for i in range(len(g))])
+    # Each power step shrinks the L1 step by ``damping``, so a stop after an
+    # L1 step r leaves at most damping / (1 - damping) * r to the fixed point.
+    bound = damping / (1.0 - damping) * scores.residual + 1e-12
+    assert np.abs(got - want).max() <= bound
+    ranked = [g.nodes.index(node) for node in scores.ranked_ids()]
+    for a, b in zip(ranked, ranked[1:]):
+        if got[a] - got[b] > 2.0 * bound:
+            assert want[a] > want[b]
+
+
+def divrank_update(w: list[list[float]], p: list[float], lam: float, alpha: float, p_star: list[float]):
+    """One step of cumulative DivRank (Mei, Guo and Radev, KDD 2010), the scores standing in for visits.
+
+    p0(u, v) = alpha * w(u, v) / deg(u) for v != u and p0(u, u) = 1 - alpha,
+    or p0(u, u) = 1 for a node of degree 0; D(u) = sum_v p0(u, v) * p(v); and
+    p'(v) = (1 - lam) * p*(v) + lam * sum_u p(u) * p0(u, v) * p(v) / D(u).
+    """
+    n = len(p)
+    p0 = []
+    for u in range(n):
+        degree = sum(w[u])
+        row = [alpha * w[u][v] / degree if degree else 0.0 for v in range(n)]
+        row[u] = 1.0 - alpha if degree else 1.0
+        p0.append(row)
+    d = [sum(p0[u][v] * p[v] for v in range(n)) for u in range(n)]
+    return [
+        (1.0 - lam) * p_star[v] + lam * sum(p[u] * p0[u][v] * p[v] / d[u] for u in range(n) if d[u] > 0.0)
+        for v in range(n)
+    ]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    split_random_graphs(max_n=25), st.sampled_from([0.5, 0.75, 0.9]), st.sampled_from([0.1, 0.25, 0.75]),
+    st.none() | st.lists(st.floats(0.05, 1.0), min_size=25, max_size=25),
+)
+def test_property_divrank_is_a_fixed_point_of_the_update(g, lam, alpha, weights):
+    n = len(g)
+    prior = None if weights is None else dict(zip(g.nodes, weights))
+    scores = divrank(g, lam, alpha, prior)
+    p = [scores.scores[node] for node in g.nodes]
+    p_star = [1.0 / n] * n if weights is None else [x / sum(weights[:n]) for x in weights[:n]]
+    step = divrank_update(g.weights.tolist(), p, lam, alpha, p_star)
+    assert sum(abs(a - b) for a, b in zip(step, p)) < RESIDUAL_TOLERANCE
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    split_random_graphs(max_n=25), st.sampled_from([0.3, 0.5, 0.8]), st.sampled_from([0.1, 0.25, 0.75]),
+    st.lists(st.floats(0.05, 1.0), min_size=25, max_size=25), st.integers(0, 24), st.sampled_from([0.5, 2.0]),
+)
+def test_property_more_prior_mass_never_lowers_a_divrank_score(g, lam, alpha, weights, k, extra):
+    """Up to lam = 0.8; at the default 0.9 the walk can settle elsewhere (next test)."""
+    prior = dict(zip(g.nodes, weights))
+    node = g.nodes[k % len(g)]
+    before = divrank(g, lam, alpha, prior).scores[node]
+    prior[node] += extra
+    assert divrank(g, lam, alpha, prior).scores[node] >= before
+
+
+def test_more_prior_mass_can_move_divrank_to_a_fixed_point_where_the_node_scores_less():
+    """The reinforced walk has several stable fixed points, and DivRank returns
+    the one its uniform start reaches.  On this 4-cycle at the default lam and
+    alpha, doubling n0's prior moves that start into another basin: n0 falls
+    from 0.286 to 0.075, although a fixed point with n0 at 0.540 exists."""
+    w = [[0.0, 0.1, 0.9, 0.0], [0.1, 0.0, 0.0, 1.0], [0.9, 0.0, 0.0, 0.4], [0.0, 1.0, 0.4, 0.0]]
+    g = make_graph(w)
+    uniform = divrank(g).scores["n0"]
+    doubled = divrank(g, prior={"n0": 2.0, "n1": 1.0, "n2": 1.0, "n3": 1.0}).scores["n0"]
+    assert doubled < uniform - 0.2
+    p_star = [0.4, 0.2, 0.2, 0.2]
+    p = [0.7, 0.1, 0.1, 0.1]  # from a start that favours n0, the walk settles high on n0
+    for _ in range(5000):
+        p = divrank_update(w, p, 0.9, 0.25, p_star)
+    assert p[0] > 0.5
+    assert sum(abs(a - b) for a, b in zip(divrank_update(w, p, 0.9, 0.25, p_star), p)) < RESIDUAL_TOLERANCE
