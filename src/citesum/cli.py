@@ -243,12 +243,9 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         tsv = "pair\t" + "\t".join(payload) + "\n"
         tsv += f"{ann_a.annotator} vs {ann_b.annotator}\t" + "\t".join(f"{k:.6f}" for k in payload.values()) + "\n"
         payload["chance_model"] = args.chance_model
-    out_prefix = Path(args.out)
-    _write_files({
-        out_prefix.with_suffix(".tsv"): tsv,
-        out_prefix.with_suffix(".json"): json.dumps(payload, indent=2) + "\n",
-    })
-    print(out_prefix.with_suffix(".tsv"))
+    tsv_path = Path(f"{args.out}.tsv")
+    _write_files({tsv_path: tsv, Path(f"{args.out}.json"): json.dumps(payload, indent=2) + "\n"})
+    print(tsv_path)
     return 0
 
 

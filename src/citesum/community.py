@@ -242,7 +242,10 @@ def nmi(clustering: Clustering, classes: dict[str, str]) -> float:
 
 def clustering_to_tsv(clustering: Clustering, node_order: list[str] | tuple[str, ...]) -> str:
     """Export: header line with Q, then ``node_id<TAB>cluster_index`` rows."""
-    lines = [f"# Q={clustering.q:.6f}"]
+    q = f"{clustering.q:.6f}"
+    if q == "-0.000000":  # a rounding residue of Q = 0 (one cluster) reads as zero
+        q = q[1:]
+    lines = [f"# Q={q}"]
     for node in node_order:
         lines.append(f"{node}\t{clustering.assignment[node]}")
     return "\n".join(lines) + "\n"

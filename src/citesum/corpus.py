@@ -271,8 +271,8 @@ def load_citation_set(path: str | Path) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
-    ValidationError for missing or non-string fields, duplicate ids, or an
-    empty file.
+    ValidationError for missing or non-string fields, an id with a tab or a
+    line break (no TSV row could name it), duplicate ids, or an empty file.
     """
     path = Path(path)
     sentences: list[Sentence] = []
@@ -292,10 +292,13 @@ def load_citation_set(path: str | Path) -> CitationSet:
         not_strings = [k for k in ("id", "text", "source_doc") if not isinstance(record[k], str)]
         if not_strings:
             raise ValidationError(f"{path}:{lineno}: field(s) {not_strings} must be strings")
+        sid = record["id"]
+        if "\t" in sid or "".join(sid.splitlines()) != sid:
+            raise ValidationError(f"{path}:{lineno}: sentence id {sid!r} holds a tab or a line break")
         text = record["text"]
         sentences.append(
             Sentence(
-                id=record["id"],
+                id=sid,
                 text=text,
                 word_count=len(text.split()),
                 source_doc=record["source_doc"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .corpus import CitationSet, DataError, FactoidAnnotation, NuggetSpanAnnotation
 from .summarize import Summary
@@ -71,22 +72,12 @@ def build_pyramid(ann: FactoidAnnotation) -> Pyramid:
 def optimal_weight(pyr: Pyramid, size: int) -> int:
     """Best achievable factoid weight for a summary of ``size`` sentences.
 
-    Walks tiers top-down: all factoids above the pivot tier, then fills the
-    remainder at the pivot weight.  When size exceeds the factoid inventory,
-    the whole pyramid's weight is the cap.
+    The sum of the ``size`` heaviest factoid weights, taken tier by tier from
+    the top; when size exceeds the factoid inventory, the whole pyramid's
+    weight is the cap.
     """
-    if size <= 0:
-        return 0
-    remaining = size
-    total = 0
-    for tier in sorted(pyr.tiers, reverse=True):
-        members = len(pyr.tiers[tier])
-        take = min(members, remaining)
-        total += tier * take
-        remaining -= take
-        if remaining == 0:
-            break
-    return total
+    heaviest_first = (tier for tier in sorted(pyr.tiers, reverse=True) for _ in pyr.tiers[tier])
+    return sum(islice(heaviest_first, max(size, 0)))
 
 
 def pyramid_score(summary: Summary, ann: FactoidAnnotation, pyr: Pyramid) -> EvalReport:
@@ -133,22 +124,23 @@ def _token_byte_offsets(text: str) -> list[tuple[int, int]]:
 
 
 def _window_labels(
-    annotation: NuggetSpanAnnotation, cs: CitationSet, n: int
-) -> list[bool]:
-    """One in/out label per n-gram token window, pooled over all sentences.
+    annotations: tuple[NuggetSpanAnnotation, ...], cs: CitationSet, n: int
+) -> list[list[bool]]:
+    """Per annotation, one in/out label per n-gram token window, pooled over all sentences.
 
-    A token is inside a nugget iff its full byte range lies within one span;
-    a window is inside iff all of its tokens are.
+    Each sentence is tokenized once for all annotations.  A token is inside a
+    nugget iff its full byte range lies within one span; a window is inside
+    iff all of its tokens are.
     """
-    labels: list[bool] = []
+    labels: list[list[bool]] = [[] for _ in annotations]
     for sentence in cs.sentences:
-        spans = annotation.spans_of(sentence.id)
         tokens = _token_byte_offsets(sentence.text)
-        in_nugget = [
-            any(start <= ts and te <= end for start, end in spans) for ts, te in tokens
-        ]
-        for i in range(len(tokens) - n + 1):
-            labels.append(all(in_nugget[i : i + n]))
+        for annotation, out in zip(annotations, labels):
+            spans = annotation.spans_of(sentence.id)
+            in_nugget = [
+                any(start <= ts and te <= end for start, end in spans) for ts, te in tokens
+            ]
+            out.extend(all(in_nugget[i : i + n]) for i in range(len(tokens) - n + 1))
     return labels
 
 
@@ -168,8 +160,7 @@ def ngram_kappa(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    labels_a = _window_labels(a, cs, n)
-    labels_b = _window_labels(b, cs, n)
+    labels_a, labels_b = _window_labels((a, b), cs, n)
     total = len(labels_a)
     if total == 0:
         raise DataError("no units: no sentence has enough tokens for this n-gram size")
@@ -195,14 +186,6 @@ def _ngrams(text: str, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _single_reference_recall(cand: Counter, ref: Counter) -> float:
-    ref_total = sum(ref.values())
-    if ref_total == 0:
-        return 0.0
-    clipped = sum(min(count, cand[gram]) for gram, count in ref.items())
-    return clipped / ref_total
-
-
 def rouge_n(
     candidate: str,
     references: list[str],
@@ -225,39 +208,26 @@ def rouge_n(
         raise ValueError(f"n must be >= 1, got {n}")
     cand = _ngrams(candidate, n)
     refs = [_ngrams(ref, n) for ref in references]
+    matches = [sum(min(count, cand[gram]) for gram, count in ref.items()) for ref in refs]
+    totals = [sum(ref.values()) for ref in refs]
 
     if not jackknife:
-        total = sum(sum(ref.values()) for ref in refs)
-        if total == 0:
-            return 0.0
-        clipped = sum(
-            sum(min(count, cand[gram]) for gram, count in ref.items()) for ref in refs
-        )
-        return clipped / total
+        pooled = sum(totals)
+        return sum(matches) / pooled if pooled else 0.0
 
     if len(references) < 2:
         raise DataError("jackknifing requires at least two references")
-    holdout_scores = []
-    for held_out in range(len(refs)):
-        held_in = [ref for i, ref in enumerate(refs) if i != held_out]
-        holdout_scores.append(max(_single_reference_recall(cand, ref) for ref in held_in))
+    recalls = [m / t if t else 0.0 for m, t in zip(matches, totals)]
     total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
-    for score in holdout_scores:
-        total += score
-    return total / len(holdout_scores)
+    for held_out in range(len(recalls)):
+        total += max(r for i, r in enumerate(recalls) if i != held_out)
+    return total / len(recalls)
 
 
 def report_to_tsv(reports: list[EvalReport]) -> str:
-    """One row per report, columns = the pyramid fields; fixed six-decimal scores."""
+    """One row per report, columns = the ``to_dict`` fields; fixed six-decimal scores."""
     lines = ["method\tbudget\tpyramid\tcovered_factoids\tD\tMax"]
     for report in reports:
-        row = [
-            report.method,
-            str(report.budget),
-            f"{report.pyramid_score:.6f}",
-            str(report.covered_factoids),
-            str(report.weight_covered),
-            str(report.weight_optimal),
-        ]
-        lines.append("\t".join(row))
+        row = report.to_dict() | {"pyramid": f"{report.pyramid_score:.6f}"}
+        lines.append("\t".join(map(str, row.values())))
     return "\n".join(lines) + "\n"

@@ -7,12 +7,13 @@ pure given (graph, parameters, seed).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CitationSet
+from .corpus import CitationSet, ValidationError
 from .graph import SimilarityGraph
 
 MAX_ITERATIONS = 10_000
@@ -199,12 +200,22 @@ def divrank_prior_from_length(cs: CitationSet, beta: float = 0.1) -> dict[str, f
     """Length-based visiting preference: weight = word_count^(-beta), normalized.
 
     Shorter sentences get larger prior mass; zero-word sentences count as one
-    word so the power stays defined.
+    word so the power stays defined.  Raises ValidationError when a weight
+    overflows or the total is not finite and positive: no such beta gives a
+    distribution.
     """
-    raw = {s.id: max(s.word_count, 1) ** (-beta) for s in cs.sentences}
-    total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
-    for v in raw.values():
-        total += v
+    try:
+        raw = {s.id: max(s.word_count, 1) ** (-beta) for s in cs.sentences}
+        total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
+        for v in raw.values():
+            total += v
+    except OverflowError:
+        total = math.inf
+    if not 0.0 < total < math.inf:
+        raise ValidationError(
+            f"divrank_beta = {beta!r}: the length prior word_count^(-beta) sums to {total!r}, "
+            "not a finite positive total"
+        )
     return {sid: v / total for sid, v in raw.items()}
 
 

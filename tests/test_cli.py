@@ -160,6 +160,17 @@ class TestSummarize:
         assert code == 0
         assert good in json.loads(Path(out.strip()).read_text())["inputs"]
 
+    @pytest.mark.parametrize("beta", ["1000", "-400"])
+    def test_divrank_beta_without_a_length_prior_is_data_error(self, beta, paths, tmp_path, capsys):
+        code, _, err = run(
+            ["summarize", "--in", paths["citations"], "--method", "divrank-prior", "--budget", "50",
+             "--divrank-beta", beta, "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert f"divrank_beta = {float(beta)!r}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_float_is_data_error(self, paths, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("divrank_beta = nan\n", encoding="utf-8")
@@ -449,6 +460,19 @@ class TestEvaluate:
         assert payload["jackknife"] is True
         assert 0.0 <= payload["rouge_2"] <= 1.0
 
+    def test_out_prefix_keeps_its_dotted_part(self, tmp_path, capsys):
+        cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+        cand.write_text("the cat sat\n", encoding="utf-8")
+        ref.write_text("the cat sat down\n", encoding="utf-8")
+        code, out, _ = run(
+            ["evaluate", "--metric", "rouge", "--candidate", str(cand), "--references", str(ref),
+             "--out", str(tmp_path / "run1.5")],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip() == str(tmp_path / "run1.5.tsv")
+        assert sorted(p.name for p in tmp_path.glob("run1*")) == ["run1.5.json", "run1.5.tsv"]
+
     def test_kappa_report_shape(self, paths, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
@@ -511,6 +535,17 @@ class TestCluster:
         assert lines[0].startswith("# Q=")
         assert len(lines) == 10
         assert all("\t" in line for line in lines[1:])
+
+    def test_id_with_a_tab_is_data_error(self, tmp_path, capsys):
+        cs = tmp_path / "tab.jsonl"
+        cs.write_text(
+            json.dumps({"id": "a\tb", "text": "one two"}) + "\n" + json.dumps({"id": "c", "text": "two"}) + "\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(["cluster", "--in", str(cs), "--out", str(tmp_path / "clusters.tsv")], capsys)
+        assert code == 1
+        assert f"{cs}:1: sentence id 'a\\tb'" in err
+        assert not (tmp_path / "clusters.tsv").exists()
 
 
 class TestTokenizerReachesGraph:

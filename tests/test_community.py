@@ -319,3 +319,11 @@ def test_clustering_tsv_export():
     lines = tsv.splitlines()
     assert lines[0] == "# Q=0.250000"
     assert lines[1:] == ["a\t0", "b\t0", "c\t1"]
+
+
+def test_one_cluster_q_residue_exports_as_zero():
+    # CNM merges all three nodes; its Q is -5.55e-17 where modularity() gives 0.0.
+    g = make_graph([[0.0, 0.9, 0.1], [0.9, 0.0, 0.2], [0.1, 0.2, 0.0]], names="abc")
+    c = cluster_cnm(g)
+    assert c.g == 1 and -1e-12 < c.q < 0.0
+    assert clustering_to_tsv(c, g.nodes).splitlines()[0] == "# Q=0.000000"

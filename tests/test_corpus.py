@@ -1,5 +1,6 @@
 """Loader behavior: formats, validation, round trips."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -59,6 +60,16 @@ class TestCitationSet:
             '{"id": "s1", "text": "y", "source_doc": "d"}\n',
         )
         with pytest.raises(ValidationError, match="duplicate"):
+            load_citation_set(path)
+
+    @pytest.mark.parametrize("sid", ["a\tb", "a\nb", "a\r", "\x0bb", "a\x1cb", "a\x85b", "a\u2028b"])
+    def test_id_with_a_tab_or_line_break_rejected(self, tmp_path, sid):
+        path = write(
+            tmp_path,
+            "ids.jsonl",
+            '{"id": "s1", "text": "x"}\n' + json.dumps({"id": sid, "text": "y"}) + "\n",
+        )
+        with pytest.raises(ValidationError, match=r"ids\.jsonl:2: sentence id .* tab or a line break"):
             load_citation_set(path)
 
     def test_malformed_line_names_line_number(self, tmp_path):

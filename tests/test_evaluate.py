@@ -7,6 +7,7 @@ from conftest import toy_citation_set
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import citesum.evaluate
 from citesum.corpus import DataError, FactoidAnnotation, NuggetSpanAnnotation
 from citesum.evaluate import (
     build_pyramid,
@@ -246,6 +247,19 @@ class TestNgramKappa:
         a = spans("a", {"s1": [(0, 4)]})  # covers only part of "partial"
         b = spans("b", {})
         assert ngram_kappa(a, b, cs, 1) == 1.0  # both label every token out
+
+    def test_tokenizes_each_sentence_once_per_call(self, monkeypatch):
+        cs = toy_citation_set(["one two three", "four five", "six"])
+        a = spans("a", {"s1": [(0, 7)]})
+        b = spans("b", {"s2": [(0, 4)]})
+        texts = []
+        original = citesum.evaluate._token_byte_offsets
+        monkeypatch.setattr(
+            citesum.evaluate, "_token_byte_offsets", lambda text: texts.append(text) or original(text)
+        )
+        for n in (1, 2, 3):
+            ngram_kappa(a, b, cs, n)
+        assert texts == 3 * [s.text for s in cs.sentences]
 
 
 class TestRougeN:

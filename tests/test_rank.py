@@ -11,6 +11,7 @@ from oracles import random_order_oracle
 from strategies import split_random_graphs
 
 from citesum.community import cluster_cnm
+from citesum.corpus import ValidationError
 from citesum.rank import (
     RESIDUAL_TOLERANCE,
     Ordering,
@@ -222,6 +223,13 @@ class TestLengthPrior:
         # 3.12, or math.fsum) gives 1e16 + 2 and shifts every value by an ulp.
         cs = toy_citation_set(["w " * 100, "w", "w"])
         assert divrank_prior_from_length(cs, beta=-8.0) == {"s1": 1.0, "s2": 1e-16, "s3": 1e-16}
+
+    @pytest.mark.parametrize("beta", [1000.0, -400.0, float("nan")])
+    def test_prior_that_overflows_or_vanishes_is_a_value_error(self, beta):
+        cs = toy_citation_set(["w " * 10, "w " * 20])
+        with pytest.raises(ValidationError, match=f"divrank_beta = {beta!r}") as exc:
+            divrank_prior_from_length(cs, beta=beta)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestMmr:
