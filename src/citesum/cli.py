@@ -31,7 +31,7 @@ from .corpus import (
 from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
 from .lexical import TokenizerConfig
-from .rank import Ordering, divrank, divrank_prior_from_length, lexrank, mmr_order, random_order, scores_to_tsv
+from .rank import divrank, divrank_prior_from_length, lexrank, mmr_order, random_order, scores_to_tsv
 from .summarize import assemble_from_ordering, c_lexrank_order, c_rr_order, summary_from_json
 # Not called here: bench/tracing.py patches these two by name in this module.
 from .summarize import c_lexrank_summary, c_rr_summary  # noqa: F401
@@ -39,21 +39,15 @@ from .summarize import c_lexrank_summary, c_rr_summary  # noqa: F401
 
 class Summarizer(NamedTuple):
     """One ``--method``: ``run(cs, graph, cfg, seed)`` returns an Ordering of every
-    sentence, or, if ``yields_scores``, the RankScores to order them by.  A method
-    that does not ``reads_graph`` gets None for the graph, which is never built."""
+    sentence, which ``assemble_from_ordering`` packs.  A method that
+    ``yields_scores`` is a walk: its Ordering is a RankScores, which also carries
+    the scores and the solve.  A method that does not ``reads_graph`` gets None
+    for the graph, which is never built."""
 
     run: Callable
     needs_seed: bool = False
     yields_scores: bool = False
     reads_graph: bool = True
-
-    def summarize(self, cs, g, cfg, budget, seed):
-        """``(Summary of budget words, the RankScores it ranked by or None)``."""
-        ranked = self.run(cs, g, cfg, seed)
-        scores = ranked if self.yields_scores else None
-        if scores is not None:
-            ranked = Ordering(tuple(scores.ranked_ids()), scores.method)
-        return assemble_from_ordering(cs, ranked, budget), scores
 
 
 # The lambdas look the methods up in this module when called, never at import.
@@ -163,7 +157,14 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     pyramid = build_pyramid(run.annotation) if run.annotation else None
     for trial in range(trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        summary, scores = method.summarize(run.cs, run.graph, run.cfg, args.budget, seed)
+        ranking = method.run(run.cs, run.graph, run.cfg, seed)
+        if method.yields_scores and not ranking.converged:
+            print(
+                f"warning: {ranking.method} did not converge: stopped after {ranking.iterations} "
+                f"iterations at residual {ranking.residual:.3g}",
+                file=sys.stderr,
+            )
+        summary = assemble_from_ordering(run.cs, ranking, args.budget)
         base = f"{name}.t{trial:03d}" if trials > 1 else name
         outputs[out_dir / f"{base}.txt"] = summary.to_text()
         outputs[out_dir / f"{base}.json"] = summary.to_json()
@@ -178,7 +179,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         tsv = report_to_tsv(reports) + f"# mean_pyramid={total / len(reports):.6f}\n"
         outputs[out_dir / f"{name}.report.tsv"] = tsv
     if args.scores_out:  # a ranking method, so a single trial with scores
-        outputs[Path(args.scores_out)] = scores_to_tsv(scores)
+        outputs[Path(args.scores_out)] = scores_to_tsv(ranking)
     run.mark("evaluate")
 
     # All computation succeeded; only now touch the filesystem.
@@ -209,6 +210,8 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if os.path.basename(args.out) in ("", ".", ".."):
+        parser.error(f"--out {args.out!r} must end in a file name prefix, not a directory")
     if args.metric == "pyramid":
         if not (args.summary and args.citations and args.annotations):
             parser.error("--metric pyramid requires --summary, --citations, --annotations")

@@ -271,11 +271,14 @@ def load_citation_set(path: str | Path) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
-    ValidationError for missing or non-string fields, an id with a tab or a
-    line break (no TSV row could name it), duplicate ids, or an empty file.
+    ValidationError naming it for missing or non-string fields, an id that
+    no TSV row could name exactly (empty, with a tab or a line break, or with
+    whitespace the TSV loaders would strip at either end), or an id that
+    repeats an earlier one; also for an empty file.
     """
     path = Path(path)
     sentences: list[Sentence] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(_read_lines(path), start=1):
         if not raw.strip():
             continue
@@ -295,6 +298,11 @@ def load_citation_set(path: str | Path) -> CitationSet:
         sid = record["id"]
         if "\t" in sid or "".join(sid.splitlines()) != sid:
             raise ValidationError(f"{path}:{lineno}: sentence id {sid!r} holds a tab or a line break")
+        if not sid or sid != sid.strip():
+            raise ValidationError(f"{path}:{lineno}: sentence id {sid!r} is empty or starts or ends with whitespace")
+        if sid in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
+        seen.add(sid)
         text = record["text"]
         sentences.append(
             Sentence(

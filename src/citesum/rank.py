@@ -1,8 +1,9 @@
-"""Sentence salience scores and orderings: LexRank, DivRank, MMR, random.
+"""Sentence orderings: LexRank, DivRank, MMR, random.
 
-LexRank and DivRank return stationary distributions (non-negative, sum 1);
-MMR and the random baseline return orderings directly.  Everything here is
-pure given (graph, parameters, seed).
+Every method returns an Ordering of every node.  A walk's (LexRank,
+DivRank) is a RankScores: the ids by descending stationary score, plus the
+scores themselves (non-negative, sum 1) and how the solve ended.  Everything
+here is pure given (graph, parameters, seed).
 """
 
 from __future__ import annotations
@@ -25,21 +26,6 @@ DIVRANK_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class RankScores:
-    """Per-node salience plus convergence metadata."""
-
-    scores: dict[str, float]
-    method: str
-    iterations: int
-    residual: float
-
-    def ranked_ids(self) -> list[str]:
-        """Node ids by descending score; ties keep input (insertion) order,
-        since ``sorted`` is stable."""
-        return sorted(self.scores, key=lambda node: -self.scores[node])
-
-
-@dataclass(frozen=True)
 class Ordering:
     """A selection sequence over every node of a citation set or graph."""
 
@@ -49,6 +35,27 @@ class Ordering:
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("ordering must be a permutation (duplicate ids)")
+
+
+@dataclass(frozen=True)
+class RankScores(Ordering):
+    """A walk's Ordering: ``ids`` by descending score, ties in node order, plus
+    ``scores`` in node order.  The solve is not ``converged`` if it ran all
+    ``MAX_ITERATIONS`` and its last L1 step ``residual`` is still at or above
+    ``RESIDUAL_TOLERANCE``."""
+
+    scores: dict[str, float]
+    iterations: int
+    residual: float
+    converged: bool
+
+
+def _ranking(g: SimilarityGraph, p: np.ndarray, method: str, iterations: int, residual: float) -> RankScores:
+    """A walk's result from its scores ``p`` over ``g``'s nodes; ``sorted`` is stable, so ties keep node order."""
+    scores = dict(zip(g.nodes, p.tolist()))
+    ids = tuple(sorted(scores, key=scores.get, reverse=True))
+    converged = iterations < MAX_ITERATIONS or residual < RESIDUAL_TOLERANCE
+    return RankScores(ids, method, scores, iterations, residual, converged)
 
 
 def _transition_matrix(adj: np.ndarray) -> np.ndarray:
@@ -88,12 +95,7 @@ def lexrank(
         if residual < RESIDUAL_TOLERANCE:
             break
     p /= p.sum()
-    return RankScores(
-        scores={node: float(p[i]) for i, node in enumerate(g.nodes)},
-        method="lexrank",
-        iterations=iterations,
-        residual=residual,
-    )
+    return _ranking(g, p, "lexrank", iterations, residual)
 
 
 def _divrank_base_transitions(g: SimilarityGraph, alpha: float) -> np.ndarray:
@@ -188,12 +190,7 @@ def divrank(
         p, p_next = contrib, p
         if residual < RESIDUAL_TOLERANCE:
             break
-    return RankScores(
-        scores={node: float(p[i]) for i, node in enumerate(g.nodes)},
-        method="divrank" if prior is None else "divrank-prior",
-        iterations=iterations,
-        residual=residual,
-    )
+    return _ranking(g, p, "divrank" if prior is None else "divrank-prior", iterations, residual)
 
 
 def divrank_prior_from_length(cs: CitationSet, beta: float = 0.1) -> dict[str, float]:
@@ -256,5 +253,5 @@ def random_order(cs: CitationSet, seed: int) -> Ordering:
 
 def scores_to_tsv(scores: RankScores) -> str:
     """Export: ``node_id<TAB>score`` rows, descending score, six decimals."""
-    lines = [f"{node}\t{scores.scores[node]:.6f}" for node in scores.ranked_ids()]
+    lines = [f"{node}\t{scores.scores[node]:.6f}" for node in scores.ids]
     return "\n".join(lines) + "\n"

@@ -145,9 +145,9 @@ def c_lexrank_order(
     """
     cfg = cfg or RunConfig()
 
-    def by_salience(idx: list[int]) -> list[str]:
+    def by_salience(idx: list[int]) -> tuple[str, ...]:
         sub = g.induced_subgraph(idx)
-        return lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping).ranked_ids()
+        return lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping).ids
 
     return _cluster_round_robin(g, clustering or cluster_cnm(g), by_salience, "c-lexrank")
 

@@ -225,12 +225,7 @@ def divrank_oracle(
         p = p_next
         if residual < rank.RESIDUAL_TOLERANCE:
             break
-    return RankScores(
-        scores={node: float(p[i]) for i, node in enumerate(g.nodes)},
-        method="divrank" if prior is None else "divrank-prior",
-        iterations=iterations,
-        residual=residual,
-    )
+    return rank._ranking(g, p, "divrank" if prior is None else "divrank-prior", iterations, residual)
 
 
 def mmr_order_oracle(g: SimilarityGraph) -> Ordering:
@@ -354,7 +349,7 @@ def _clustered_rankings_oracle(
     for c, idx in enumerate(_cluster_members(g, clustering)):
         sub = g.induced_subgraph(idx)
         scores = lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-        rankings[c] = scores.ranked_ids()
+        rankings[c] = list(scores.ids)
     return rankings
 
 

@@ -26,7 +26,7 @@ from citesum.corpus import (
 )
 from citesum.evaluate import build_pyramid, ngram_kappa, pyramid_score, rouge_n
 from citesum.graph import build_citation_summary_network
-from citesum.rank import Ordering, divrank, lexrank, random_order
+from citesum.rank import divrank, lexrank, random_order
 from citesum.summarize import (
     Summary,
     SummaryEntry,
@@ -326,9 +326,7 @@ def test_acceptance_6_fixture_factoid_coverage(
     assert clx_covered == {"f1", "f2", "f3"}, f"c-lexrank covered only {clx_covered}"
 
     scores = lexrank(g, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-    plain = assemble_from_ordering(
-        nine_citations, Ordering(tuple(scores.ranked_ids()), "lexrank"), 100
-    )
+    plain = assemble_from_ordering(nine_citations, scores, 100)
     assert len(covered_factoids(plain, nine_factoids)) <= len(clx_covered)
     report(6, "nine-sentence fixture factoid coverage")
 

@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` and ``bench/run.py`` replace package functions by
 attribute name in ``citesum.cli``, ``citesum.summarize`` and
-``citesum.graph``.  A refactor that drops or renames one of them would only
-show up as a crash of the benchmark; these tests make it fail here.
+``citesum.graph``, and read attributes of what those functions return.  A
+refactor that drops or renames one of them, or changes what one returns,
+would only show up as a crash of the benchmark; these tests make it fail
+here.
 """
 
 import sys
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import citesum.cli
 import citesum.graph
 import citesum.summarize
+from citesum.community import nmi
 from citesum.lexical import tokenize
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -28,6 +33,63 @@ def tracing():
     finally:
         sys.path.remove(str(BENCH))
     return tracing
+
+
+@pytest.fixture(scope="module")
+def workloads(tracing):
+    return sys.modules["workloads"]  # imported by tracing, from the same directory
+
+
+def test_ranking_methods_are_the_summarizers_that_yield_scores(workloads):
+    """The bench's own list of ranking methods is a second copy of the table's."""
+    ranking = tuple(name for name, method in citesum.cli.SUMMARIZERS.items() if method.yields_scores)
+    assert workloads.RANKING_METHODS == ranking
+
+
+def test_traced_results_expose_what_the_bench_reads(tracing, fixture_paths, tmp_path, monkeypatch):
+    """Run every summarize method, ``graph-stats`` and ``cluster`` with the
+    recorded names of ``tracing.TRACED`` wrapped, and read each result the way
+    ``tracing.layer_metrics`` does."""
+    records = []
+
+    def recorded(kind, fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            records.append((kind, args, result))
+            return result
+
+        return call
+
+    for module, attr, _, kind in tracing.TRACED:
+        if kind in ("graph", "cnm", "solve", "summary"):
+            monkeypatch.setattr(module, attr, recorded(kind, getattr(module, attr)))
+    common = ["--in", str(fixture_paths["citations"]), "--idf", str(fixture_paths["idf"])]
+    for method in citesum.cli.SUMMARIZERS:
+        argv = ["summarize", *common, "--method", method, "--budget", "50", "--seed", "1",
+                "--out-dir", str(tmp_path)]
+        if method in ("lexrank", "divrank", "divrank-prior"):
+            argv += ["--scores-out", str(tmp_path / f"{method}.scores.tsv")]
+        assert citesum.cli.main(argv) == 0
+    assert citesum.cli.main(["graph-stats", *common]) == 0
+    assert citesum.cli.main(["cluster", *common, "--out", str(tmp_path / "clusters.tsv")]) == 0
+
+    assert {kind for kind, _, _ in records} == {"graph", "cnm", "solve", "summary"}
+    for kind, args, result in records:
+        if kind == "graph":
+            n = len(result)
+            assert isinstance(result.weights, np.ndarray) and result.weights.shape == (n, n)
+        elif kind == "cnm":
+            assert isinstance(result.g, int) and 1 <= result.g <= len(args[0])
+            assert isinstance(result.q, float)
+            assert set(result.assignment) == set(args[0].nodes)
+            assert 0.0 <= nmi(result, {node: "topic" for node in args[0].nodes}) <= 1.0
+        elif kind == "solve":
+            assert result.method in ("lexrank", "divrank", "divrank-prior")
+            assert isinstance(result.iterations, int) and result.iterations >= 1
+            assert isinstance(result.residual, float)
+        else:
+            assert isinstance(result.total_words, int) and isinstance(result.budget, int)
+            assert result.total_words <= result.budget == 50
 
 
 def test_every_traced_name_exists(tracing):

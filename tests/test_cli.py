@@ -297,6 +297,41 @@ class TestSummarize:
         assert len(solves) == 1
         assert len(scores_path.read_text().strip().splitlines()) == 9
 
+    @pytest.mark.parametrize("method", ["lexrank", "divrank", "divrank-prior"])
+    def test_unconverged_walk_is_reported_and_still_written(self, method, paths, tmp_path, capsys, monkeypatch):
+        argv = ["summarize", "--in", paths["citations"], "--idf", paths["idf"], "--method", method,
+                "--budget", "100", "--scores-out", str(tmp_path / "scores.tsv")]
+        code, _, err = run([*argv, "--out-dir", str(tmp_path / "default")], capsys)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr("citesum.rank.MAX_ITERATIONS", 2)
+        out_dir = tmp_path / "capped"
+        code, out, err = run([*argv, "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: {method} did not converge: stopped after 2 iterations at residual ")
+        assert float(lines[0].rsplit(" ", 1)[1]) >= 1e-8
+        name = f"w05-0622.{method}.100"
+        assert out == f"{out_dir / name}.manifest.json\n"
+        assert sorted(f.name for f in out_dir.iterdir()) == [f"{name}.json", f"{name}.manifest.json", f"{name}.txt"]
+        assert len((tmp_path / "scores.tsv").read_text().splitlines()) == 9
+
+    def test_id_padded_with_spaces_is_data_error(self, paths, tmp_path, capsys):
+        cs, factoids = tmp_path / "padded.jsonl", tmp_path / "factoids.tsv"
+        cs.write_text(
+            json.dumps({"id": "s1", "text": "one two"}) + "\n" + json.dumps({"id": " s1", "text": "three"}) + "\n",
+            encoding="utf-8",
+        )
+        factoids.write_text(" s1\tf1\n", encoding="utf-8")
+        code, _, err = run(
+            ["summarize", "--in", str(cs), "--method", "lexrank", "--budget", "5",
+             "--annotations", str(factoids), "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert f"{cs}:2: sentence id ' s1' is empty or starts or ends with whitespace" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluate:
     def test_pyramid_report(self, paths, tmp_path, capsys):
@@ -473,6 +508,23 @@ class TestEvaluate:
         assert out.strip() == str(tmp_path / "run1.5.tsv")
         assert sorted(p.name for p in tmp_path.glob("run1*")) == ["run1.5.json", "run1.5.tsv"]
 
+    @pytest.mark.parametrize("prefix", ["slash/", ".", "..", "sub/.", "sub/.."])
+    def test_out_prefix_must_name_a_file(self, prefix, tmp_path, capsys, monkeypatch):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "cand.txt").write_text("the cat sat\n", encoding="utf-8")
+        (inputs / "ref.txt").write_text("the cat sat down\n", encoding="utf-8")
+        work = tmp_path / "work" / "cwd"
+        (work / "slash").mkdir(parents=True)
+        (work / "sub").mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--metric", "rouge", "--candidate", str(inputs / "cand.txt"),
+                  "--references", str(inputs / "ref.txt"), "--out", prefix])
+        assert exc.value.code == 2
+        assert "must end in a file name prefix" in capsys.readouterr().err
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [inputs / "cand.txt", inputs / "ref.txt"]
+
     def test_kappa_report_shape(self, paths, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
@@ -535,6 +587,14 @@ class TestCluster:
         assert lines[0].startswith("# Q=")
         assert len(lines) == 10
         assert all("\t" in line for line in lines[1:])
+
+    def test_duplicate_id_names_its_line(self, tmp_path, capsys):
+        cs = tmp_path / "dup.jsonl"
+        cs.write_text("".join(json.dumps({"id": sid, "text": "one two"}) + "\n" for sid in ("s1", "s2", "s1")))
+        code, _, err = run(["cluster", "--in", str(cs), "--out", str(tmp_path / "clusters.tsv")], capsys)
+        assert code == 1
+        assert err == f"error: {cs}:3: duplicate sentence id 's1'\n"
+        assert not (tmp_path / "clusters.tsv").exists()
 
     def test_id_with_a_tab_is_data_error(self, tmp_path, capsys):
         cs = tmp_path / "tab.jsonl"

@@ -62,6 +62,35 @@ class TestCitationSet:
         with pytest.raises(ValidationError, match="duplicate"):
             load_citation_set(path)
 
+    def test_duplicate_id_names_its_first_repeat(self, tmp_path):
+        path = write(
+            tmp_path,
+            "dup.jsonl",
+            "".join(json.dumps({"id": sid, "text": "x"}) + "\n" for sid in ("s1", "s2", "s1", "s2")),
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_citation_set(path)
+        assert str(exc.value) == f"{path}:3: duplicate sentence id 's1'"
+
+    def test_library_citation_set_still_rejects_duplicates(self):
+        with pytest.raises(ValidationError, match="duplicate sentence id"):
+            toy_citation_set(["x", "y"], ids=["s1", "s1"])
+
+    @pytest.mark.parametrize("sid", ["", "  ", " s1", "s1 ", "\u00a0s2", "s2\u3000"])
+    def test_empty_or_padded_id_rejected(self, tmp_path, sid):
+        path = write(
+            tmp_path,
+            "ids.jsonl",
+            '{"id": "s1", "text": "x"}\n' + json.dumps({"id": sid, "text": "y"}) + "\n",
+        )
+        message = r"ids\.jsonl:2: sentence id .* is empty or starts or ends with whitespace"
+        with pytest.raises(ValidationError, match=message):
+            load_citation_set(path)
+
+    def test_inner_spaces_in_an_id_are_kept(self, tmp_path):
+        path = write(tmp_path, "ids.jsonl", '{"id": "s 1", "text": "x"}\n{"id": "s  2", "text": "y"}\n')
+        assert load_citation_set(path).ids == ["s 1", "s  2"]
+
     @pytest.mark.parametrize("sid", ["a\tb", "a\nb", "a\r", "\x0bb", "a\x1cb", "a\x85b", "a\u2028b"])
     def test_id_with_a_tab_or_line_break_rejected(self, tmp_path, sid):
         path = write(

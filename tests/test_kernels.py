@@ -360,13 +360,13 @@ def assert_close_divrank(g, rows: int, monkeypatch, **kwargs) -> np.ndarray:
     expected = np.array(list(oracle.scores.values()))
     np.testing.assert_allclose(scores, expected, rtol=DIVRANK_BLOCKED_RTOL, atol=0.0)
     # oracle order, cut where neighbours differ by more than both may move
-    ranked = oracle.ranked_ids()
+    ranked = oracle.ids
     runs = [[ranked[0]]]
     for above, below in zip(ranked, ranked[1:]):
         if oracle.scores[above] - oracle.scores[below] > 2 * DIVRANK_BLOCKED_RTOL * oracle.scores[above]:
             runs.append([])
         runs[-1].append(below)
-    got = fast.ranked_ids()
+    got = fast.ids
     start = 0
     for run in runs:
         assert set(got[start : start + len(run)]) == set(run)

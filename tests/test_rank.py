@@ -12,10 +12,13 @@ from strategies import split_random_graphs
 
 from citesum.community import cluster_cnm
 from citesum.corpus import ValidationError
+from citesum import rank
 from citesum.rank import (
+    MAX_ITERATIONS,
     RESIDUAL_TOLERANCE,
     Ordering,
     RankScores,
+    _ranking,
     divrank,
     divrank_prior_from_length,
     lexrank,
@@ -169,7 +172,7 @@ class TestDivrank:
         # plain lexrank at the default threshold sees two disconnected cliques
         # and ties everything, so its top-2 share the first clique
         lx = lexrank(g)
-        lex_top2 = set(lx.ranked_ids()[:2])
+        lex_top2 = set(lx.ids[:2])
         assert lex_top2 <= clique_a
 
     def test_prior_shifts_mass(self):
@@ -302,8 +305,9 @@ def test_scores_tsv_sorted_descending():
 
 
 def test_tied_scores_keep_input_order():
-    scores = RankScores({"c": 0.2, "a": 0.3, "d": 0.2, "b": 0.2, "e": 0.1}, "manual", 1, 0.0)
-    assert scores.ranked_ids() == ["a", "c", "d", "b", "e"]
+    g = make_graph(np.zeros((5, 5)), names="cadbe")
+    scores = _ranking(g, np.array([0.2, 0.3, 0.2, 0.2, 0.1]), "manual", 1, 0.0)
+    assert scores.ids == ("a", "c", "d", "b", "e")
     assert scores_to_tsv(scores) == "a\t0.300000\nc\t0.200000\nd\t0.200000\nb\t0.200000\ne\t0.100000\n"
 
 
@@ -326,6 +330,41 @@ def test_ordering_rejects_duplicates():
         Ordering(ids=("a", "a"), method="x")
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(split_random_graphs(), st.sampled_from(["lexrank", "divrank", "divrank-prior"]))
+def test_property_a_walk_is_the_ordering_of_its_scores(g, method):
+    prior = {node: 1.0 + i for i, node in enumerate(g.nodes)} if method == "divrank-prior" else None
+    result = lexrank(g) if method == "lexrank" else divrank(g, prior=prior)
+    assert isinstance(result, Ordering) and isinstance(result, RankScores)
+    assert result.method == method
+    assert list(result.scores) == list(g.nodes)
+    assert result.ids == tuple(sorted(g.nodes, key=lambda node: -result.scores[node]))  # stable: ties in node order
+
+
+@pytest.mark.parametrize(
+    ("iterations", "residual", "converged"),
+    [
+        (MAX_ITERATIONS - 1, 1.0, True),  # stopped early: its step fell below the tolerance
+        (MAX_ITERATIONS, RESIDUAL_TOLERANCE / 2, True),  # fell below it on the last sweep
+        (MAX_ITERATIONS, RESIDUAL_TOLERANCE, False),
+        (MAX_ITERATIONS, 1e-3, False),
+    ],
+)
+def test_converged_is_the_rule_the_bench_counts(iterations, residual, converged):
+    g = make_graph(np.zeros((2, 2)))
+    assert _ranking(g, np.array([0.5, 0.5]), "manual", iterations, residual).converged is converged
+
+
+@pytest.mark.parametrize("solve", [lexrank, divrank])
+def test_a_capped_walk_is_not_converged(solve, monkeypatch):
+    g = two_cliques_graph(bridge=0.3)
+    assert solve(g).converged
+    monkeypatch.setattr(rank, "MAX_ITERATIONS", 2)
+    result = solve(g)
+    assert (result.iterations, result.converged) == (2, False)
+    assert result.residual >= RESIDUAL_TOLERANCE
+
+
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(split_random_graphs(), st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([0.5, 0.85, 0.95]))
 def test_property_lexrank_matches_networkx_pagerank(networkx, g, threshold, damping):
@@ -338,7 +377,7 @@ def test_property_lexrank_matches_networkx_pagerank(networkx, g, threshold, damp
     # L1 step r leaves at most damping / (1 - damping) * r to the fixed point.
     bound = damping / (1.0 - damping) * scores.residual + 1e-12
     assert np.abs(got - want).max() <= bound
-    ranked = [g.nodes.index(node) for node in scores.ranked_ids()]
+    ranked = [g.nodes.index(node) for node in scores.ids]
     for a, b in zip(ranked, ranked[1:]):
         if got[a] - got[b] > 2.0 * bound:
             assert want[a] > want[b]

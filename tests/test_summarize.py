@@ -14,7 +14,7 @@ from citesum.cli import SUMMARIZERS
 from citesum.community import Clustering
 from citesum.corpus import DataError, RunConfig, uniform_idf
 from citesum.graph import build_citation_summary_network
-from citesum.rank import Ordering, lexrank, random_order
+from citesum.rank import Ordering, RankScores, lexrank, random_order
 from citesum.summarize import (
     assemble_from_ordering,
     c_lexrank_summary,
@@ -220,9 +220,7 @@ class TestCLexrank:
             nine_citations, fixture_graph, 100, cfg, clustering=single_cluster(nine_citations)
         )
         scores = lexrank(fixture_graph, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
-        baseline = assemble_from_ordering(
-            nine_citations, Ordering(tuple(scores.ranked_ids()), "lexrank"), 100
-        )
+        baseline = assemble_from_ordering(nine_citations, scores, 100)
         assert forced.sentence_ids == baseline.sentence_ids
         assert [e.text for e in forced.entries] == [e.text for e in baseline.entries]
 
@@ -304,6 +302,16 @@ class TestBaselineAssembly:
         )
 
 
+@pytest.mark.parametrize("method", SUMMARIZERS)
+def test_every_summarizer_returns_an_ordering_of_every_sentence(method, nine_citations, fixture_graph):
+    summarizer = SUMMARIZERS[method]
+    order = summarizer.run(nine_citations, fixture_graph if summarizer.reads_graph else None, RunConfig(), 5)
+    assert isinstance(order, Ordering)
+    assert sorted(order.ids) == sorted(nine_citations.ids)
+    assert order.method == method
+    assert isinstance(order, RankScores) is summarizer.yields_scores
+
+
 @st.composite
 def corpora_with_budgets(draw):
     words = st.sampled_from(["tree", "Parse", "crf", "of", "model", "w1", "w2", "w3"])
@@ -323,7 +331,7 @@ def test_property_every_summarizer_fits_its_budget(summary_path, case):
     cs = toy_citation_set(texts)
     g = build_citation_summary_network(cs, uniform_idf())
     for method, summarizer in SUMMARIZERS.items():
-        summary, _ = summarizer.summarize(cs, g, RunConfig(), budget, seed)
+        summary = assemble_from_ordering(cs, summarizer.run(cs, g, RunConfig(), seed), budget)
         assert summary.total_words <= budget, method
         assert summary.total_words == sum(e.words for e in summary.entries), method
         assert len(set(summary.sentence_ids)) == len(summary.sentence_ids), method
@@ -357,5 +365,7 @@ def test_property_cluster_summaries_equal_the_queue_oracles(case):
     assert c_lexrank_summary(cs, g, budget, cfg, clustering) == lexrank_oracle
     assert c_rr_summary(cs, g, budget, seed, clustering) == rr_oracle
     if clustering is None:  # the path cmd_summarize takes
-        assert SUMMARIZERS["c-lexrank"].summarize(cs, g, cfg, budget, seed) == (lexrank_oracle, None)
-        assert SUMMARIZERS["c-rr"].summarize(cs, g, cfg, budget, seed) == (rr_oracle, None)
+        for method, oracle in (("c-lexrank", lexrank_oracle), ("c-rr", rr_oracle)):
+            order = SUMMARIZERS[method].run(cs, g, cfg, seed)
+            assert assemble_from_ordering(cs, order, budget) == oracle
+            assert not isinstance(order, RankScores)  # no scores to write
