@@ -7,11 +7,14 @@ transitions, the DivRank scores and the similarity weights with
 ``np.array_equal``, DivRank's iteration count and residual and the MMR
 ordering with ``==``, and the DOT text with ``==``.  The one exception is
 DivRank over several blocks of rows, whose scores must agree to the relative
-bound ``DIVRANK_BLOCKED_RTOL``.
+bound ``DIVRANK_BLOCKED_RTOL``; there, the scores' bytes, the iteration
+count and the residual must not depend on the number of usable CPUs.
 """
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -33,6 +36,7 @@ from oracles import (
     transition_matrix_oracle,
 )
 
+from citesum import rank
 from citesum.community import Clustering, block_sums, cluster_cnm, modularity
 from citesum.corpus import CitationSet, IdfTable, uniform_idf
 from citesum.graph import (
@@ -418,6 +422,129 @@ def test_divrank_in_several_blocks_with_an_empty_mask(monkeypatch):
     g = make_graph([[0.0, 0.5], [0.5, 0.0]])
     scores = assert_close_divrank(g, 1, monkeypatch, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
     assert scores.tolist() == [1.0, 0.0]
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads take turns every 10 us, so a race between DivRank's threads shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def divrank_in_thread(g, **kwargs):
+    """``divrank(g, **kwargs)`` in a thread named ``solve``, so that a hang fails
+    the test instead of stopping the suite.  The solve, ended by a result or
+    an exception, must leave no thread behind."""
+    outcome = []
+
+    def solve():
+        try:
+            outcome.append(divrank(g, **kwargs))
+        except Exception as exc:
+            outcome.append(exc)
+
+    before = threading.active_count()
+    solver = threading.Thread(target=solve, name="solve", daemon=True)
+    solver.start()
+    solver.join(timeout=60)
+    assert not solver.is_alive(), "divrank hung"
+    assert threading.active_count() == before
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+def assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, **kwargs) -> np.ndarray:
+    """DivRank in 2 to 7 blocks of rows gives the same bits on 1, 2 and 3 usable CPUs.
+
+    ``g`` has at least 14 nodes.  The sweeps take one thread per usable CPU,
+    up to one per block.
+    """
+    n = len(g)
+    rows = int(rng.integers(-(-n // 7), -(-n // 2) + 1))
+    blocks = -(-n // rows)
+    assert 2 <= blocks <= 7
+    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * n * rows)
+    solve_block = rank._divrank_block
+    seen = set()
+
+    def recording_block(*args):
+        seen.add(threading.get_ident())
+        solve_block(*args)
+
+    monkeypatch.setattr("citesum.rank._divrank_block", recording_block)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr("citesum.rank._usable_cpus", lambda: cpus)
+        seen.clear()
+        results.append(divrank_in_thread(g, **kwargs))
+        assert len(seen) == min(cpus, blocks)
+    first = results[0]
+    for other in results[1:]:
+        assert np.array(list(other.scores.values())).tobytes() == np.array(list(first.scores.values())).tobytes()
+        assert other.ids == first.ids
+        assert other.iterations == first.iterations
+        assert other.residual == first.residual
+    return np.array(list(first.scores.values()))
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+@pytest.mark.parametrize("family", FAMILIES)
+def test_divrank_bits_do_not_depend_on_the_cpu_count(family, monkeypatch):
+    rng = np.random.default_rng(FAMILIES.index(family) + 1401)
+    for _ in range(4):
+        n = int(rng.integers(14, 61))
+        g, _ = with_isolated_nodes(rng, n, family, 0.1)
+        texts = [" ".join(["w"] * int(k)) for k in rng.integers(0, 40, n)]
+        length_prior = divrank_prior_from_length(toy_citation_set(texts, ids=list(g.nodes)))
+        lam = float(rng.uniform(0.5, 0.95))
+        alpha = float(rng.uniform(0.05, 0.95))
+        for prior in (None, length_prior):
+            assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, lam=lam, alpha=alpha, prior=prior)
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+def test_divrank_bits_do_not_depend_on_the_cpu_count_when_mass_underflows(monkeypatch):
+    # Zero-prior isolated nodes in the last blocks underflow to 0 and take
+    # the masked product there, as in the several-blocks case above.
+    monkeypatch.setattr("citesum.rank.RESIDUAL_TOLERANCE", -1.0)
+    monkeypatch.setattr("citesum.rank.MAX_ITERATIONS", 1000)
+    rng = np.random.default_rng(1501)
+    for trial in range(6):
+        family = FAMILIES[trial % len(FAMILIES)]
+        n = int(rng.integers(14, 24))
+        isolated = np.arange(n) >= rng.integers(n // 2, n)
+        w = random_graph(rng, n, family).weights.copy()
+        w[isolated, :] = 0.0
+        w[:, isolated] = 0.0
+        g = make_graph(w)
+        prior = {node: (0.0 if iso else float(rng.uniform(0.1, 1.0))) for node, iso in zip(g.nodes, isolated)}
+        scores = assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, lam=0.3, prior=prior)
+        assert np.all(scores[isolated] == 0.0)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_divrank_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
+    # Four blocks over three threads; the share fails on the sixth sweep.
+    g = random_graph(np.random.default_rng(1601), 40, "uniform")
+    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * 40 * 10)
+    monkeypatch.setattr("citesum.rank._usable_cpus", lambda: 3)
+    solve_block = rank._divrank_block
+    calls = []
+
+    def failing_block(*args):
+        calls.append(None)
+        if len(calls) > 20 and (threading.current_thread().name == "solve") == (failing == "caller"):
+            raise RuntimeError(f"{failing} share failed")
+        solve_block(*args)
+
+    monkeypatch.setattr("citesum.rank._divrank_block", failing_block)
+    with pytest.raises(RuntimeError, match=f"^{failing} share failed$"):
+        divrank_in_thread(g)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
