@@ -13,9 +13,11 @@ and ends with the permissions the umask gives a new file (0o644 under umask
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, fields
@@ -308,60 +310,97 @@ def _add_common(sub: argparse.ArgumentParser, threshold: bool = True) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="citesum",
-        description="Diversity-aware extractive summaries of citation sentences, plus evaluation tools.",
-    )
-    parser.add_argument("--version", action="version", version=f"citesum {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_sum = subs.add_parser("summarize", help="write a word-budgeted extractive summary")
-    _add_common(p_sum)
-    p_sum.add_argument(
+def _summarize_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument(
         "--damping", type=float, dest="lexrank_damping", metavar="DAMPING",
         help="teleport damping for LexRank",
     )
-    p_sum.add_argument("--method", required=True, choices=tuple(SUMMARIZERS))
-    p_sum.add_argument("--budget", type=int, required=True, help="summary budget in words")
-    p_sum.add_argument("--seed", type=int, help="required for stochastic methods")
-    p_sum.add_argument("--trials", type=int, help="repeat count for --method random")
-    p_sum.add_argument("--annotations", help="factoid TSV; adds a pyramid report")
-    p_sum.add_argument("--out-dir", default=".", help="directory for output files")
-    p_sum.add_argument("--scores-out", help="also write the salience scores TSV")
+    sub.add_argument("--method", required=True, choices=tuple(SUMMARIZERS))
+    sub.add_argument("--budget", type=int, required=True, help="summary budget in words")
+    sub.add_argument("--seed", type=int, help="required for stochastic methods")
+    sub.add_argument("--trials", type=int, help="repeat count for --method random")
+    sub.add_argument("--annotations", help="factoid TSV; adds a pyramid report")
+    sub.add_argument("--out-dir", default=".", help="directory for output files")
+    sub.add_argument("--scores-out", help="also write the salience scores TSV")
     for name in ("lambda", "alpha", "beta"):
-        p_sum.add_argument(f"--divrank-{name}", type=float)
-    p_sum.set_defaults(func=cmd_summarize)
+        sub.add_argument(f"--divrank-{name}", type=float)
 
-    p_eval = subs.add_parser("evaluate", help="score summaries or annotations")
-    p_eval.add_argument("--metric", required=True, choices=("pyramid", "rouge", "kappa"))
-    p_eval.add_argument("--out", default="report", help="output path prefix (.tsv/.json added)")
-    p_eval.add_argument("--summary", nargs="+", help="summary JSON file(s) (pyramid); one row each")
-    p_eval.add_argument("--citations", help="citation set JSONL (pyramid, kappa)")
-    p_eval.add_argument("--annotations", help="factoid TSV (pyramid)")
-    p_eval.add_argument("--candidate", help="candidate summary text file (rouge)")
-    p_eval.add_argument("--references", nargs="+", help="reference summary files (rouge)")
-    p_eval.add_argument("--jackknife", action="store_true", help="leave-one-reference-out (rouge)")
-    p_eval.add_argument("--spans-a", help="first annotator span TSV (kappa)")
-    p_eval.add_argument("--spans-b", help="second annotator span TSV (kappa)")
-    p_eval.add_argument("--chance-model", choices=("cohen", "scott", "uniform"), default="cohen")
-    p_eval.set_defaults(func=cmd_evaluate)
 
-    p_stats = subs.add_parser("graph-stats", help="small-world statistics of the sentence graph")
-    _add_common(p_stats)
-    p_stats.add_argument("--dot", help="also write the binarized graph in DOT format")
-    p_stats.set_defaults(func=cmd_graph_stats)
+def _evaluate_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--metric", required=True, choices=("pyramid", "rouge", "kappa"))
+    sub.add_argument("--out", default="report", help="output path prefix (.tsv/.json added)")
+    sub.add_argument("--summary", nargs="+", help="summary JSON file(s) (pyramid); one row each")
+    sub.add_argument("--citations", help="citation set JSONL (pyramid, kappa)")
+    sub.add_argument("--annotations", help="factoid TSV (pyramid)")
+    sub.add_argument("--candidate", help="candidate summary text file (rouge)")
+    sub.add_argument("--references", nargs="+", help="reference summary files (rouge)")
+    sub.add_argument("--jackknife", action="store_true", help="leave-one-reference-out (rouge)")
+    sub.add_argument("--spans-a", help="first annotator span TSV (kappa)")
+    sub.add_argument("--spans-b", help="second annotator span TSV (kappa)")
+    sub.add_argument("--chance-model", choices=("cohen", "scott", "uniform"), default="cohen")
 
-    p_cluster = subs.add_parser("cluster", help="detect communities and export the partition")
-    _add_common(p_cluster, threshold=False)
-    p_cluster.add_argument("--out", required=True, help="clustering TSV path")
-    p_cluster.set_defaults(func=cmd_cluster)
 
+def _graph_stats_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--dot", help="also write the binarized graph in DOT format")
+
+
+def _cluster_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, threshold=False)
+    sub.add_argument("--out", required=True, help="clustering TSV path")
+
+
+class Subcommand(NamedTuple):
+    """One subcommand: its help line, the function that adds its arguments, and its ``cmd_*``."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+
+
+SUBCOMMANDS = {
+    "summarize": Subcommand("write a word-budgeted extractive summary", _summarize_arguments, cmd_summarize),
+    "evaluate": Subcommand("score summaries or annotations", _evaluate_arguments, cmd_evaluate),
+    "graph-stats": Subcommand(
+        "small-world statistics of the sentence graph", _graph_stats_arguments, cmd_graph_stats
+    ),
+    "cluster": Subcommand("detect communities and export the partition", _cluster_arguments, cmd_cluster),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one run, built anew on every call.
+
+    All four subcommands are registered with their help, so ``citesum -h``,
+    the usage line and an invalid-choice error read the same whatever
+    ``command`` is.  Only ``command``'s subparser gets its arguments; when
+    ``command`` names no subcommand, every subparser gets them.  ``main``
+    passes ``argv[0]``, so a run builds only what it parses.  Every help
+    formatter of one build uses the terminal width read once at its start,
+    as ``argparse.HelpFormatter`` reads it.  Nothing is kept between calls.
+    """
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="citesum",
+        description="Diversity-aware extractive summaries of citation sentences, plus evaluation tools.",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--version", action="version", version=f"citesum {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    every = command not in SUBCOMMANDS
+    for name, subcommand in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=subcommand.help, formatter_class=formatter)
+        if every or name == command:
+            subcommand.add_arguments(sub)
+            sub.set_defaults(func=subcommand.run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

@@ -1,6 +1,8 @@
 """On-disk formats and loaders for citation sets, annotations, IDF tables, and run configuration.
 
-File formats (all UTF-8, line oriented):
+File formats (all UTF-8 without a byte order mark, line oriented; every
+loader reads through ``_read_text``, which names the line of a byte that is
+not UTF-8):
   - citation set: JSON lines, one object per sentence:
         {"id": str, "text": str, "source_doc": str}
     Line order is significant and preserved.
@@ -16,8 +18,13 @@ In the TSV files, blank lines and lines starting with ``#`` are skipped.
 Every loader names the offending line of a file it rejects.  The IDF table,
 which every job loads, is parsed in bulk: a few passes over all rows at once
 split terms from values, convert the values with ``float`` and check the
-whole table.  Only a file that fails those checks is walked line by line,
-with the same checks, to name its first bad line; a valid file never is.
+whole table.  A file in normal form (one tab in every newline-ended row, no
+``#``, and no character that ``str.splitlines`` breaks on or ``str.strip``
+removes but ``float`` keeps), which one ``bytes.translate`` pass proves,
+skips the two passes that drop blank and comment lines and strip each
+value, since they would change nothing.  Only a file that fails the checks
+is walked line by line, with the same checks, to name its first bad line; a
+valid file never is.
 Loaders only parse and validate: they keep each sentence's raw text and
 never tokenize it, since terms feed only the similarity graph, which
 tokenizes as it builds (``citesum.graph``).  Loaders are pure given the file bytes; everything they
@@ -26,6 +33,7 @@ return is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -247,8 +255,30 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+def _read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The text of a UTF-8 file, its line breaks read as ``Path.read_text`` reads them.
+
+    ``data`` is the file's bytes if the caller has read them already.  Bytes
+    that are not UTF-8, or a leading byte order mark, are a ParseError naming
+    the line, counted as the loaders count lines.  CRLF and a lone CR
+    become LF.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ParseError(f"{path}:1: starts with a UTF-8 byte order mark")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return _read_text(path).splitlines()
 
 
 def _tsv_rows(path: str | Path, fields: tuple[str, ...], lines: list[str] | None = None):
@@ -399,33 +429,52 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 _COMMENT_ROW = re.compile(r"\n[^\S\n]*#[^\n]*")
 # Every byte but tab and newline; no multi-byte UTF-8 character holds either.
 _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+# The bytes that decide an IDF file's normal form are tab, newline, "#",
+# the ASCII characters that ``str.splitlines`` breaks on or ``str.strip``
+# removes but ``float`` keeps (CR, VT, FF, U+001C to U+001F), and 0xC2 and
+# 0xE2, the lead bytes of the other three (U+0085, U+2028, U+2029).  This is
+# every other byte.  A lead byte also starts other characters, so a file
+# holding one of those is parsed the general way.
+_NOT_A_FORM_BYTE = bytes(b for b in range(256) if b not in b"\t\n#\r\v\f\x1c\x1d\x1e\x1f\xc2\xe2")
 
 
 def load_idf_table(path: str | Path) -> IdfTable:
     """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf.
 
-    A valid file is parsed in bulk, by ``_idf_table_in_bulk``.  Only when
-    that finds a bad row or no row at all does ``_raise_first_bad_idf_line``
-    walk the same lines one at a time to name the first bad one.
+    A valid file is parsed in bulk, by ``_idf_table_in_bulk``.  A file in
+    normal form, which is what a tool writing one row per term writes, takes
+    a shortcut: one tab in every row, each row ending in a newline, no
+    ``#``, and none of the characters that ``str.splitlines`` breaks on or
+    ``str.strip`` removes but ``float`` keeps.  Such a file has no blank or
+    comment line, and stripping a value cannot change what ``float`` reads,
+    so its cells are split out as they are.  Only when the bulk parse finds
+    a bad row or no row at all does ``_raise_first_bad_idf_line`` walk the
+    lines one at a time to name the first bad one.
     """
-    lines = _read_lines(path)
-    table = _idf_table_in_bulk(lines)
+    data = Path(path).read_bytes()
+    text = _read_text(path, data)
+    table = _idf_table_in_bulk(data, text)
     if table is None:
-        _raise_first_bad_idf_line(path, lines)
+        _raise_first_bad_idf_line(path, text.splitlines())
     return table
 
 
-def _idf_table_in_bulk(lines: list[str]) -> IdfTable | None:
-    """The table of an IDF file's lines, or None if a row breaks a rule or there is none.
+def _idf_table_in_bulk(data: bytes, text: str) -> IdfTable | None:
+    """The table of an IDF file's bytes and text, or None if a row breaks a rule or there is none.
 
-    Each step is one C-level pass over all rows.  Blank and comment lines
-    are dropped and the rows joined into one text, each after a newline; a
-    row holds exactly one tab iff that text's tabs and newlines alternate.
-    One split then gives every term and value, the values are stripped as
-    the line checks strip them (``float`` alone rejects the U+001F that
-    ``str.strip`` removes) and converted with ``float``, and the finite,
-    non-negative and unique-term checks cover the whole table.
+    A file in normal form is parsed by ``_idf_table_in_normal_form``; any
+    other file, or one whose rows that shortcut rejects, is parsed as
+    follows.  Each step is one C-level pass over all rows.  Blank and
+    comment lines are dropped and the rows joined into one text, each after
+    a newline; a row holds exactly one tab iff that text's tabs and newlines
+    alternate.  One split then gives every term and value, and the values
+    are stripped as the line checks strip them (``float`` alone rejects the
+    U+001F that ``str.strip`` removes).
     """
+    table = _idf_table_in_normal_form(data, text)
+    if table is not None:
+        return table
+    lines = text.splitlines()
     text = "\n" + "\n".join(compress(lines, map(str.strip, lines)))
     if "#" in text:
         text = _COMMENT_ROW.sub("", text)
@@ -433,16 +482,42 @@ def _idf_table_in_bulk(lines: list[str]) -> IdfTable | None:
     if not rows or text.encode().translate(None, _NOT_TAB_OR_NEWLINE) != b"\n\t" * rows:
         return None
     cells = text.replace("\n", "\t").split("\t")  # "", then each row's term and value
+    return _idf_table_of_cells(cells[1::2], map(str.strip, cells[2::2]), rows)
+
+
+def _idf_table_in_normal_form(data: bytes, text: str) -> IdfTable | None:
+    """The table of an IDF file in normal form, or None if it is not or a row breaks a rule.
+
+    One ``bytes.translate`` pass keeps the bytes that decide normal form;
+    the file is in it iff they are a tab and a newline once per row.  A
+    blank row then holds one tab and only whitespace, so its value fails
+    ``float`` and the caller parses the file the general way.
+    """
+    form = data.translate(None, _NOT_A_FORM_BYTE)
+    rows = len(form) // 2
+    if not rows or form != b"\t\n" * rows:
+        return None
+    cells = text.replace("\n", "\t").split("\t")  # each row's term and value, then ""
+    return _idf_table_of_cells(cells[::2], cells[1::2], rows)
+
+
+def _idf_table_of_cells(terms: list[str], values, rows: int) -> IdfTable | None:
+    """The table of ``rows`` terms and their value cells, or None if a check fails.
+
+    The values are converted with ``float``; the finite, non-negative and
+    unique-term checks cover the whole table.  ``terms`` may run one past
+    the values.
+    """
     try:
-        idfs = list(map(float, map(str.strip, cells[2::2])))
+        idfs = list(map(float, values))
     except ValueError:
         return None
     if not (all(map(math.isfinite, idfs)) and min(idfs) >= 0):
         return None
-    values = dict(zip(cells[1::2], idfs))
-    if len(values) != rows:
+    table = dict(zip(terms, idfs))
+    if len(table) != rows:
         return None
-    return IdfTable(values=values, default_idf=max(idfs))
+    return IdfTable(values=table, default_idf=max(idfs))
 
 
 def _raise_first_bad_idf_line(path: str | Path, lines: list[str]) -> NoReturn:
@@ -472,7 +547,7 @@ def _raise_first_bad_idf_line(path: str | Path, lines: list[str]) -> NoReturn:
 
 def load_reference_summary(path: str | Path) -> str:
     """Plain-text reference summary; the whole file is one summary."""
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = _read_text(path).strip()
     if not text:
         raise ValidationError(f"{path}: empty reference summary")
     return text

@@ -1,16 +1,20 @@
 """Command-line behavior: exit codes, file outputs, error mapping."""
 
+import argparse
 import json
 import math
 import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from citesum import cli
 from citesum.cli import main
+from citesum.corpus import load_citation_set, load_idf_table
 from citesum.evaluate import EvalReport
+from citesum.lexical import TokenizerConfig
 
 
 @pytest.fixture()
@@ -722,3 +726,188 @@ class TestDeterminism:
             if name.endswith("manifest.json"):
                 continue  # carries wall-clock timings by design
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Each input flag, the run that reads it, and a valid first line for its file.
+# ``{bad}`` is the file under test; the other fields are valid inputs.
+INPUT_FLAGS = {
+    "--in": (["summarize", "--in", "{bad}", "--method", "lexrank", "--budget", "50", "--out-dir", "{out}"],
+             '{"id": "s1", "text": "a parsing model"}\n'),
+    "--idf": (["summarize", "--in", "{citations}", "--idf", "{bad}", "--method", "lexrank", "--budget", "50",
+               "--out-dir", "{out}"], "the\t0.5\n"),
+    "--annotations": (["summarize", "--in", "{citations}", "--annotations", "{bad}", "--method", "lexrank",
+                       "--budget", "50", "--out-dir", "{out}"], "s1\tf1\n"),
+    "--config": (["summarize", "--in", "{citations}", "--config", "{bad}", "--method", "lexrank",
+                  "--budget", "50", "--out-dir", "{out}"], "lexrank_damping = 0.8\n"),
+    "--stopwords": (["cluster", "--in", "{citations}", "--stopwords", "{bad}", "--out", "{out}/c.tsv"], "the\n"),
+    "--spans-a": (["evaluate", "--metric", "kappa", "--citations", "{citations}", "--spans-a", "{bad}",
+                   "--spans-b", "{spans}", "--out", "{out}/kap"], "ann1\ts1\t0\t11\n"),
+    "--references": (["evaluate", "--metric", "rouge", "--candidate", "{candidate}", "--references",
+                      "{bad}", "--out", "{out}/rg"], "the cat sat\n"),
+}
+
+
+@pytest.mark.parametrize("flag", list(INPUT_FLAGS))
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (b"ca\xe9 \n", ":2: not valid UTF-8 (invalid continuation byte)"),
+        (None, ":1: starts with a UTF-8 byte order mark"),
+    ],
+    ids=["latin-1", "bom"],
+)
+def test_an_input_that_is_not_plain_utf8_is_a_data_error(flag, tail, message, paths, tmp_path, capsys):
+    template, first_line = INPUT_FLAGS[flag]
+    bad = tmp_path / "in" / "bad.txt"
+    bad.parent.mkdir()
+    bad.write_bytes(first_line.encode("utf-8") + tail if tail else b"\xef\xbb\xbf" + first_line.encode("utf-8"))
+    (tmp_path / "in" / "spans.tsv").write_text("ann2\ts1\t0\t11\n", encoding="utf-8")
+    (tmp_path / "in" / "candidate.txt").write_text("the cat sat down\n", encoding="utf-8")
+    out = tmp_path / "out"
+    fields = {"bad": bad, "out": out, "citations": paths["citations"], "spans": tmp_path / "in" / "spans.tsv",
+              "candidate": tmp_path / "in" / "candidate.txt"}
+    code, stdout, err = run([arg.format(**fields) for arg in template], capsys)
+    assert (code, stdout, err) == (1, "", f"error: {bad}{message}\n")
+    assert not out.exists()
+
+
+def captured_parse(parser, argv, capsys):
+    """What parsing ``argv`` printed and how it ended: the namespace, or the exit code."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def subparsers_of(parser) -> dict:
+    """Subcommand name -> subparser."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def argparse_formatted_parser():
+    """The full parser, every part of it formatted by argparse's own ``HelpFormatter``."""
+    parser = cli.build_parser()
+    for p in (parser, *subparsers_of(parser).values()):
+        p.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+# Per subcommand: help, a missing required flag, a bad value, an unknown flag,
+# an extra positional, and a valid argv.
+PARSER_CASES = {
+    "summarize": [
+        ["-h"],
+        ["--in", "c.jsonl", "--budget", "3"],
+        ["--in", "c.jsonl", "--method", "nope", "--budget", "3"],
+        ["--in", "c.jsonl", "--method", "lexrank", "--budget", "three"],
+        ["--in", "c.jsonl", "--method", "lexrank", "--budget", "3", "--bogus"],
+        ["--in", "c.jsonl", "--method", "lexrank", "--budget", "3", "extra"],
+        ["--in", "c.jsonl", "--method", "lexrank", "--budget", "3", "--divrank-beta", "0.2"],
+    ],
+    "evaluate": [
+        ["-h"],
+        [],
+        ["--metric", "nope"],
+        ["--metric", "rouge", "--bogus"],
+        ["--metric", "rouge", "extra"],
+        ["--metric", "rouge", "--references", "a.txt", "b.txt", "--jackknife"],
+    ],
+    "graph-stats": [
+        ["-h"],
+        ["--dot", "g.dot"],
+        ["--in", "c.jsonl", "--threshold", "high"],
+        ["--in", "c.jsonl", "--bogus"],
+        ["--in", "c.jsonl", "extra"],
+        ["--in", "c.jsonl", "--threshold", "0.2"],
+    ],
+    "cluster": [
+        ["-h"],
+        ["--in", "c.jsonl"],
+        ["--in", "c.jsonl", "--out", "x.tsv", "--threshold", "0.2"],
+        ["--in", "c.jsonl", "--out", "x.tsv", "extra"],
+        ["--in", "c.jsonl", "--out", "x.tsv", "--idf", "i.tsv"],
+    ],
+}
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", list(PARSER_CASES))
+def test_a_subcommand_parser_parses_as_the_full_parser(command, columns, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in PARSER_CASES[command]:
+        argv = [command, *argv]
+        full = captured_parse(argparse_formatted_parser(), argv, capsys)
+        assert captured_parse(cli.build_parser(), argv, capsys) == full, argv
+        assert captured_parse(cli.build_parser(command), argv, capsys) == full, argv
+    assert full[0]["func"] is cli.SUBCOMMANDS[command].run  # the last argv is valid
+
+
+# Argvs that stop at the top-level parser.
+TOP_LEVEL_ARGVS = [["-h"], ["--version"], [], ["summarise", "--in", "c.jsonl"]]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", TOP_LEVEL_ARGVS)
+def test_the_top_level_reads_the_same_from_every_parser(argv, columns, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    full = captured_parse(argparse_formatted_parser(), argv, capsys)
+    for command in [None, *cli.SUBCOMMANDS]:
+        assert captured_parse(cli.build_parser(command), argv, capsys) == full, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # Newer argparse versions pass a "--" before the subcommand through to it.
+    [*TOP_LEVEL_ARGVS, ["--", "cluster", "--in", "c.jsonl", "--out", "x"], ["cluster", "--in", "c.jsonl"]],
+)
+def test_main_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    full = captured_parse(argparse_formatted_parser(), argv, capsys)
+
+    class Built(Exception):
+        pass
+
+    def stop_after_build(*args):
+        raise Built(build(*args))
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", stop_after_build)
+    with pytest.raises(Built) as built:
+        main(argv)
+    assert captured_parse(built.value.args[0], argv, capsys) == full
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+def test_a_run_adds_the_arguments_of_its_subcommand_only(from_sys_argv, paths, tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+    argv = ["summarize", "--in", paths["citations"], "--method", "lexrank", "--budget", "50",
+            "--out-dir", str(tmp_path)]
+    if from_sys_argv:  # as the console script calls it
+        monkeypatch.setattr(cli.sys, "argv", ["citesum", *argv])
+        argv = None
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and len(built) == 1
+    dests = {name: [a.dest for a in sub._actions] for name, sub in subparsers_of(built[0]).items()}
+    assert list(dests) == list(cli.SUBCOMMANDS)
+    assert "budget" in dests.pop("summarize")
+    assert dests == dict.fromkeys(dests, ["help"])
+
+
+def test_each_run_reads_the_idf_file_anew(paths, tmp_path, capsys, monkeypatch):
+    graphs = []
+    build = cli.build_citation_summary_network
+    monkeypatch.setattr(cli, "build_citation_summary_network", lambda *a: graphs.append(build(*a)) or graphs[-1])
+    idf = tmp_path / "idf.tsv"
+    argv = ["cluster", "--in", paths["citations"], "--idf", str(idf), "--out", str(tmp_path / "c.tsv")]
+    expected = []
+    for text in ("parsing\t0.5\nmodel\t3.0\n", "parsing\t3.0\nmodel\t0.5\n"):
+        idf.write_text(text, encoding="utf-8")
+        assert run(argv, capsys)[0] == 0
+        expected.append(build(load_citation_set(paths["citations"]), load_idf_table(idf), TokenizerConfig()))
+    assert not np.array_equal(expected[0].weights, expected[1].weights)
+    for graph, want in zip(graphs, expected, strict=True):
+        assert np.array_equal(graph.weights, want.weights)

@@ -296,6 +296,103 @@ def test_idf_loader_peak_memory_is_within_twice_the_oracle(tmp_path):
     assert peaks[load_idf_table] <= 2 * peaks[load_idf_table_oracle]
 
 
+def five_thousand_idf_rows() -> str:
+    """The table of the peak-memory test: 5,000 rows in normal form."""
+    rows = [
+        f"term{i:04d}{'xyz'[i % 3] * (i % 7)}\t{(i * 0.6180339887) % 9:.6f}" for i in range(5000)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.fixture()
+def normal_form_results(monkeypatch):
+    """What each ``_idf_table_in_normal_form`` call returned: a table iff the shortcut was taken."""
+    results = []
+    shortcut = corpus._idf_table_in_normal_form
+
+    def spy(*args):
+        results.append(shortcut(*args))
+        return results[-1]
+
+    monkeypatch.setattr(corpus, "_idf_table_in_normal_form", spy)
+    return results
+
+
+class TestIdfNormalForm:
+    def test_a_table_in_normal_form_takes_the_shortcut(self, tmp_path, normal_form_results):
+        path = write(tmp_path, "idf.tsv", five_thousand_idf_rows())
+        outcome = load_outcome(load_idf_table, path)
+        assert [r is not None for r in normal_form_results] == [True]
+        assert outcome == load_outcome(load_idf_table_oracle, path)
+        assert len(outcome[0]) == 5000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "the\t0.5\n# note\nw\t1.0\n",  # a comment
+            "the\t0.5\n\nw\t1.0\n",  # a blank line
+            "the\t0.5\r\nw\t1.0\r\n",
+            "the\t0.5\x1f\nw\t1.0\n",
+            "the\t0.5\u2028w\t1.0\n",
+        ],
+    )
+    def test_other_valid_tables_take_the_general_path(self, text, tmp_path, normal_form_results):
+        path = write(tmp_path, "idf.tsv", text)
+        outcome = load_outcome(load_idf_table, path)
+        assert normal_form_results == [None]
+        assert outcome == load_outcome(load_idf_table_oracle, path)
+        assert isinstance(outcome[0], list), outcome
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "the\t0.5\n\t\nw\t1.0\n",  # a row that is a tab: blank, so skipped
+            "the\t0.5\n \t \nw\t1.0\n",  # blank too
+            "the\t0.5\nw\t\x1f1.0\x1f\n",  # float keeps U+001F, str.strip removes it
+            "the\t0.5\nw\t1.0",  # no trailing newline
+            "the\t0.5\nthe\t1.0\n",  # a repeated term
+            "the\t0.5\nw\t-1\n",
+            "the\t0.5\nw\tnan\n",
+        ],
+    )
+    def test_one_tab_per_row_is_not_enough(self, text, tmp_path, normal_form_results):
+        path = write(tmp_path, "idf.tsv", text)
+        assert load_outcome(load_idf_table, path) == load_outcome(load_idf_table_oracle, path)
+        assert normal_form_results == [None]
+
+    @pytest.mark.parametrize("line_break", [b for b in LINE_BREAKS if b not in ("\n", "\r\n")])
+    def test_a_term_holding_a_line_break_is_two_lines(self, line_break, tmp_path, normal_form_results):
+        path = write(tmp_path, "idf.tsv", f"the\t0.5\nw{line_break}x\t1.0\n")
+        outcome = load_outcome(load_idf_table, path)
+        assert outcome == load_outcome(load_idf_table_oracle, path)
+        assert outcome[0] is ParseError and ":2: expected 'term<TAB>idf'" in outcome[1]
+        assert normal_form_results == [None]
+
+
+class TestReadText:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.text(st.sampled_from("ab\t \r\n\x85\u2028\xe9\U0001f600")))
+    def test_reads_what_path_read_text_reads(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("read") / "file.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert corpus._read_text(path) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"\xff", 1),
+            (b"ok\nca\xe9\n", 2),
+            (b"ok\r\nok\rca\xc3", 3),  # truncated at the end
+            (b"a\xc2\x85b\n\xed\xa0\x80\n", 3),  # U+0085 breaks a line; then a surrogate
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, data, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"bad.txt:{lineno}: not valid UTF-8 \("):
+            corpus._read_text(path)
+
+
 class TestNuggetSpans:
     def test_load_and_merge(self, tmp_path, nine_citations):
         path = write(
