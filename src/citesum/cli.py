@@ -269,6 +269,7 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     paths = average_shortest_path(graph, threshold)
     clustering = cluster_cnm(graph)
     q = modularity(graph, clustering.assignment)
+    dot = to_dot(graph, threshold) if args.dot else None  # an id DOT cannot quote fails here, before any output
 
     print(f"nodes\t{len(graph)}")
     print(f"edges\t{graph.edge_count(threshold)}")
@@ -281,8 +282,8 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     print(f"modularity\t{q:.6f}")
     if len(graph) == 1:
         print("caveat\tsingle-node graph: C is trivially 0 and Q is degenerate")
-    if args.dot:
-        _write_files({Path(args.dot): to_dot(graph, threshold)})
+    if dot is not None:
+        _write_files({Path(args.dot): dot})
         print(f"dot\t{args.dot}")
     return 0
 

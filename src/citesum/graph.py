@@ -11,13 +11,15 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CitationSet, IdfTable
-from .lexical import TokenizerConfig, tfidf_vector, tokenize
+from .corpus import CitationSet, IdfTable, ValidationError
+from .lexical import TokenizerConfig, tokenize
+# Not called here: bench/tracing.py patches tfidf_vector by name in this module.
+from .lexical import tfidf_vector  # noqa: F401
 
 PAIR_CHUNK = 1 << 13  # term-pair products per np.add.at call; also bounds the row-block quotients
 
@@ -73,6 +75,11 @@ def build_citation_summary_network(
     equivariant: permuting the input sentences permutes the rows and columns
     of the weight matrix identically.
 
+    Per sentence, only the tokenizer runs; the TF-IDF weights and norms of
+    the whole set are then taken in array passes over its token stream
+    (``_postings``), with the bits of ``tfidf_vector``, the one-sentence
+    form the oracle weighs with.
+
     The weights are the IEEE values of ``min(1.0, cosine_similarity(u, v))``
     for every pair, the one-pair loop in ``tests/oracles.py``.  The dot
     products come from term postings (``_Postings``): the ordered pairs of
@@ -89,10 +96,11 @@ def build_citation_summary_network(
     and the same commuted norm product, so symmetry is exact.  No BLAS is
     used, so the weights do not depend on the BLAS thread count.
 
-    Memory: one n x n float64 array, the result; six arrays of at most one
-    element per (sentence, term) entry; and during each chunk four arrays of
-    PAIR_CHUNK elements, or one for a block of row quotients.  The term
-    strings and weight maps are dropped before the pairs are added.
+    Memory: one n x n float64 array, the result; while weighing, a few
+    8-byte arrays per token (see ``_postings``); then six arrays of at most
+    one element per (sentence, term) entry; and during each chunk four
+    arrays of PAIR_CHUNK elements, or one for a block of row quotients.  No
+    term string outlives the weighing.
     """
     if len(cs) == 0:
         raise ValueError("citation set is empty")
@@ -151,34 +159,77 @@ class _Postings(NamedTuple):
 
 
 def _postings(cs: CitationSet, idf: IdfTable, tokenizer: TokenizerConfig) -> _Postings:
-    """The postings of a citation set, from one ``tfidf_vector`` call per sentence.
+    """The postings of a citation set, weighed in array passes over its token stream.
 
-    Term ids are assigned in one pass, in order of first appearance, and
-    each sentence's entries go straight into flat arrays, so no term string
-    or weight map outlives this call except in ``idf``.  One stable argsort
-    by each term's ``sorted()`` rank then groups the entries by term.
+    Per sentence, only ``tokenize`` runs (one lower, one regex sub, one
+    split), and one C-level ``map`` replaces each token by its term's id in
+    order of first appearance over the set.  The token strings die with the
+    sentence; only the distinct terms are kept, until the idfs are read.
+
+    Per set, in array passes:
+
+    - one ``sorted()`` of the vocabulary gives each term its rank, and its
+      idf, looked up once per term;
+    - one argsort of the tokens by (term rank, sentence) puts the tokens of
+      each (sentence, term) entry next to each other, the entries already
+      in postings order: by term, in sentence order within a term.  An
+      entry's count is its run's length, and its first token the run's
+      smallest position;
+    - each weight is ``count * idf``, the product ``tfidf_vector`` takes;
+    - each norm adds its squares left to right in first-appearance order,
+      as ``TermVector.from_weights`` does.  The squares sit at their
+      entries' first tokens in a token-long array of 0.0, which adds
+      nothing, and ``np.add.at`` adds the array into the norms in token
+      order; then one ``np.sqrt``;
+    - zero weights are dropped, then the pair rows are bounded per term.
+
+    Memory per token: 8 bytes for its id while the sentences are read, and
+    at most three 8-byte arrays alive at once afterwards (the sort key, its
+    argsort and the sorted key, or the squares and each token's sentence),
+    each freed once used.  An ``int`` idf is read as float64: exact below
+    2**53, where the products match Python's.
     """
     n = len(cs)
-    norms = np.empty(n)
-    sizes = np.empty(n, dtype=np.intp)
     term_id: defaultdict[str, int] = defaultdict(count().__next__)
-    ids, weights = array("q"), array("d")
-    for i, s in enumerate(cs.sentences):
-        v = tfidf_vector(tokenize(s.text, tokenizer), idf)
-        norms[i] = v.norm
-        sizes[i] = len(v.weights)
-        ids.extend(map(term_id.__getitem__, v.weights))
-        weights.extend(v.weights.values())
-    names = list(term_id)
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    term = rank[np.asarray(ids)]
-    order = np.argsort(term, kind="stable")
-    term = term[order]
-    row = np.repeat(np.arange(n), sizes)[order]
-    weight = np.asarray(weights)[order]
+    ids, ends = array("q"), array("q")
+    for s in cs.sentences:
+        ids.extend(map(term_id.__getitem__, tokenize(s.text, tokenizer)))
+        ends.append(len(ids))
+    names = sorted(term_id)
+    v = len(names)
+    rank = np.empty(v, dtype=np.int64)
+    rank[np.fromiter(map(term_id.__getitem__, names), np.int64, v)] = np.arange(v)
+    idfs = np.fromiter(map(idf.values.get, names, repeat(idf.default_idf, v)), float, v)
+    del term_id, names
+    sizes = np.diff(ends, prepend=0)
+    key = rank[np.asarray(ids)]
+    del ids, rank
+    key *= n
+    key += np.repeat(np.arange(n), sizes)
+    tokens = np.argsort(key)  # ties are tokens of one entry; their order is recovered below
+    key = key[tokens]
+    new = np.empty(len(key), dtype=bool)  # the first token of each entry
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    term, row = np.divmod(key[starts], n)
+    del key
+    # Python's float arithmetic, which tfidf_vector uses, overflows to inf
+    # without a warning; so do these passes.
+    with np.errstate(over="ignore"):
+        weight = np.diff(starts, append=len(tokens)) * idfs[term]
+        squares = np.zeros(len(tokens))  # 0.0 at every token but an entry's first
+        squares[np.minimum.reduceat(tokens, starts)] = weight * weight
+        del tokens, starts, idfs
+        norms = np.zeros(n)
+        np.add.at(norms, np.repeat(np.arange(n), sizes), squares)
+        del squares
+    np.sqrt(norms, out=norms)
+    kept = weight != 0.0
+    term, row, weight = term[kept], row[kept], weight[kept]
 
-    k = np.bincount(term, minlength=len(names))
+    k = np.bincount(term, minlength=v)
     first = np.cumsum(k) - k
     lead = np.flatnonzero(k[term] >= 2)
     bounds = np.zeros(len(lead) + 1, dtype=np.intp)
@@ -261,15 +312,26 @@ def average_shortest_path(g: SimilarityGraph, threshold: float = 0.10) -> PathSt
 
 
 def to_dot(g: SimilarityGraph, threshold: float = 0.10) -> str:
-    """DOT rendering of the binarized graph; edge labels carry the raw weight."""
+    """DOT rendering of the binarized graph; edge labels carry the raw weight.
+
+    Node ids are DOT quoted strings, in which ``\\"`` stands for ``"`` and
+    every other character for itself.  An id that ends in a backslash cannot
+    be quoted: its last backslash would escape the closing quote.  Such an
+    id raises ``ValidationError``, naming it.
+    """
+    names = [_dot_quoted(node) for node in g.nodes]
     lines = ["graph citation_summary_network {"]
-    for node in g.nodes:
-        lines.append(f'  "{node}";')
+    lines.extend(f"  {name};" for name in names)
     # np.nonzero lists the upper triangle's edges in row-major order; the
     # edges are formatted from Python ints and floats, not numpy scalars.
     rows, cols = np.nonzero(np.triu(g.binarize(threshold), 1))
-    nodes = g.nodes
     for i, j, w in zip(rows.tolist(), cols.tolist(), g.weights[rows, cols].tolist()):
-        lines.append(f'  "{nodes[i]}" -- "{nodes[j]}" [label="{w:.4f}"];')
+        lines.append(f'  {names[i]} -- {names[j]} [label="{w:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quoted(node: str) -> str:
+    if node.endswith("\\"):
+        raise ValidationError(f"node id {node!r} ends in a backslash, which DOT cannot quote")
+    return '"' + node.replace('"', '\\"') + '"'

@@ -4,8 +4,14 @@ The default tokenizer lowercases, strips every character that is neither an
 ASCII letter or digit nor whitespace, splits on whitespace, and removes
 nothing else; stopword removal is opt-in.
 No stemming, so results are reproducible without external linguistic
-resources.  The graph build (``citesum.graph``) takes the cosine of all pairs
-at once; the one-pair ``cosine_similarity`` it equals is in ``tests/oracles.py``.
+resources.
+
+``tfidf_vector`` weighs one sentence: it is the library's one-sentence form
+and the weighting of the graph oracle in ``tests/oracles.py``.  The graph
+build (``citesum.graph``) calls only ``tokenize`` per sentence, weighs the
+whole set in array passes with the same bits, and takes the cosine of all
+pairs at once; the one-pair ``cosine_similarity`` it equals is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations

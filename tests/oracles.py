@@ -304,18 +304,25 @@ def build_citation_summary_network_oracle(
 
 
 def to_dot_oracle(g: SimilarityGraph, threshold: float = 0.10) -> str:
-    """DOT rendering of the binarized graph; edge labels carry the raw weight."""
-    lines = ["graph citation_summary_network {"]
+    """DOT rendering of the binarized graph; edge labels carry the raw weight.
+
+    Each id is quoted character by character, ``"`` as ``\\"``; an id
+    ending in a backslash, which DOT cannot quote, raises ``ValueError``.
+    """
+    quoted = []
     for node in g.nodes:
-        lines.append(f'  "{node}";')
+        if node[-1:] == "\\":
+            raise ValueError(f"node id {node!r} ends in a backslash")
+        quoted.append('"' + "".join('\\"' if c == '"' else c for c in node) + '"')
+    lines = ["graph citation_summary_network {"]
+    for name in quoted:
+        lines.append(f"  {name};")
     adj = g.binarize(threshold)
     n = len(g)
     for i in range(n):
         for j in range(i + 1, n):
             if adj[i, j]:
-                lines.append(
-                    f'  "{g.nodes[i]}" -- "{g.nodes[j]}" [label="{g.weights[i, j]:.4f}"];'
-                )
+                lines.append(f'  {quoted[i]} -- {quoted[j]} [label="{g.weights[i, j]:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,6 @@ import citesum.cli
 import citesum.graph
 import citesum.summarize
 from citesum.community import nmi
-from citesum.lexical import tokenize
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -163,16 +162,20 @@ def test_evaluate_calls_through_the_patched_names(metric, fixture_paths, tmp_pat
     assert Counter(calls) == EVALUATE_CALLS[metric]
 
 
-def test_graph_build_weighs_each_sentence_once(nine_citations, nine_idf, monkeypatch):
-    """The traced ``lexical.tokens`` count and ``lexical.tfidf`` span assume
-    one ``tfidf_vector`` call per sentence per build, looked up in ``citesum.graph``."""
-    calls = []
-    original = citesum.graph.tfidf_vector
+def test_graph_build_tokenizes_each_sentence_once(nine_citations, nine_idf, monkeypatch):
+    """A build reads each sentence's terms with one ``tokenize`` call, in
+    sentence order, looked up in ``citesum.graph``, and weighs them in array
+    passes: it never calls ``tfidf_vector``, which stays bound in
+    ``citesum.graph`` only because ``bench/tracing.py`` patches it there."""
+    texts, weighed = [], []
+    original = citesum.graph.tokenize
     monkeypatch.setattr(
         citesum.graph,
-        "tfidf_vector",
-        lambda tokens, idf: calls.append(list(tokens)) or original(tokens, idf),
+        "tokenize",
+        lambda text, cfg: texts.append(text) or original(text, cfg),
     )
-    for _ in range(2):
-        citesum.graph.build_citation_summary_network(nine_citations, nine_idf)
-    assert calls == 2 * [tokenize(s.text) for s in nine_citations.sentences]
+    monkeypatch.setattr(citesum.graph, "tfidf_vector", lambda *a, **k: weighed.append(a))
+    graphs = [citesum.graph.build_citation_summary_network(nine_citations, nine_idf) for _ in range(2)]
+    assert texts == 2 * [s.text for s in nine_citations.sentences]
+    assert weighed == []
+    assert graphs[0].weights.any()

@@ -569,6 +569,18 @@ class TestGraphStats:
         dot = (tmp_path / "g.dot").read_text()
         assert dot.startswith("graph ") and dot.rstrip().endswith("}")
 
+    def test_dot_refuses_an_id_ending_in_a_backslash(self, tmp_path, capsys):
+        citations = tmp_path / "c.jsonl"
+        rows = [{"id": "s1", "text": "tree parse", "source_doc": "d"},
+                {"id": "s2\\", "text": "tree crf", "source_doc": "d"}]
+        citations.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        dot = tmp_path / "g.dot"
+        code, out, err = run(["graph-stats", "--in", str(citations), "--dot", str(dot)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: node id 's2\\\\' ends in a backslash, which DOT cannot quote"]
+        assert not dot.exists()
+
     def test_single_sentence_caveat(self, tmp_path, capsys):
         single = tmp_path / "one.jsonl"
         single.write_text('{"id": "s1", "text": "only one", "source_doc": "d"}\n')

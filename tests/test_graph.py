@@ -1,13 +1,21 @@
 """Similarity network construction and small-world statistics vs brute-force oracles."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import make_graph, symmetric_random_graph, toy_citation_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import to_dot_oracle
 from strategies import split_random_graphs
 
-from citesum.corpus import uniform_idf
+import citesum
+from citesum.corpus import ValidationError, uniform_idf
 from citesum.graph import (
     average_shortest_path,
     build_citation_summary_network,
@@ -179,6 +187,61 @@ class TestDotExport:
     def test_threshold_filters_edges(self):
         g = make_graph([[0.0, 0.05], [0.05, 0.0]], names=["a", "b"])
         assert "--" not in to_dot(g, 0.1)
+
+    def test_ids_come_back_from_a_spec_rule_parse(self):
+        names = ['a"b', 'a\\"b', "a\\b", '"', "plain"]
+        g = make_graph(np.ones((5, 5)) - np.eye(5), names=names)
+        dot = to_dot(g, 0.1)
+        assert dot == to_dot_oracle(g, 0.1)
+        statements = [dot_quoted_strings(line) for line in dot.splitlines()[1:-1]]
+        assert statements[:5] == [[name] for name in names]
+        assert statements[5:] == [[a, b, "1.0000"] for i, a in enumerate(names) for b in names[i + 1:]]
+
+    @pytest.mark.parametrize("bad", ["a\\", "\\", 'a"\\'])
+    def test_an_id_ending_in_a_backslash_is_refused(self, bad):
+        g = make_graph([[0.0, 0.5], [0.5, 0.0]], names=["s1", bad])
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            to_dot(g, 0.1)
+        with pytest.raises(ValueError):
+            to_dot_oracle(g, 0.1)
+
+
+def dot_quoted_strings(line: str) -> list[str]:
+    """Every quoted string of one DOT statement, read by the DOT spec's rule:
+    inside quotes, ``\\"`` stands for ``"`` and every other character for itself."""
+    strings, i = [], 0
+    while (i := line.find('"', i)) >= 0:
+        chars, i = [], i + 1
+        while line[i] != '"':
+            if line.startswith('\\"', i):
+                chars.append('"')
+                i += 2
+            else:
+                chars.append(line[i])
+                i += 1
+        strings.append("".join(chars))
+        i += 1
+    return strings
+
+
+def test_graph_build_does_not_depend_on_hash_order(fixture_paths, nine_citations, nine_idf):
+    """The fixture graph's weight bytes under two string-hash seeds, and in this process."""
+    script = (
+        "import sys\n"
+        "from citesum.corpus import load_citation_set, load_idf_table\n"
+        "from citesum.graph import build_citation_summary_network\n"
+        "g = build_citation_summary_network(load_citation_set(sys.argv[1]), load_idf_table(sys.argv[2]))\n"
+        "sys.stdout.write(g.weights.tobytes().hex())\n"
+    )
+    src = str(Path(citesum.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    weights = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        argv = [sys.executable, "-c", script, str(fixture_paths["citations"]), str(fixture_paths["idf"])]
+        weights.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert weights[0] == weights[1]
+    assert weights[0] == build_citation_summary_network(nine_citations, nine_idf).weights.tobytes().hex()
 
 
 THRESHOLDS = st.sampled_from([0.0, 0.1, 0.3, 0.6])

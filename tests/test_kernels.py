@@ -42,12 +42,13 @@ from citesum.corpus import CitationSet, IdfTable, uniform_idf
 from citesum.graph import (
     BFS_BLOCK,
     PAIR_CHUNK,
+    _postings,
     average_shortest_path,
     build_citation_summary_network,
     clustering_coefficient,
     to_dot,
 )
-from citesum.lexical import TokenizerConfig
+from citesum.lexical import TokenizerConfig, tfidf_vector, tokenize
 from citesum.rank import (
     _divrank_base_transitions,
     _transition_matrix,
@@ -666,6 +667,57 @@ def test_graph_build_zeroes_sentences_with_zero_norm():
     g = build_citation_summary_network(cs, idf)
     assert not g.weights[[0, 2]].any()
     assert g.weights[1, 3] > 0.0
+
+
+# The weighing's edge cases.  Under every tokenizer, "zero" weighs 0, so its
+# entries are dropped; in float and mixed tables "tiny" weighs 1.5e-162 once,
+# whose square underflows to 0.0; "the", "of" and "model" are stopwords under
+# STOPWORDS.
+# Every corpus holds a sentence that repeats one token and one whose every
+# term weighs 0.
+WEIGHING_WORDS = ["zero", "zero.", "tiny", "Tiny,", "tree", "Parse", "crf", "the", "of", "model", "w1", "unseen"]
+WEIGHING_TERMS = ["tree", "parse", "Parse", "crf", "the", "of", "model", "w1"]
+
+
+@st.composite
+def weighing_cases(draw):
+    floats = st.sampled_from([1.5e-162, 1e-150, 1e-3, 2**0.5]) | st.floats(0.0, 9.0)
+    ints = st.integers(0, 2**40)  # count * idf stays below 2**53, where products are exact
+    kind = draw(st.sampled_from(["float", "int", "mixed"]))
+    value = {"float": floats, "int": ints, "mixed": floats | ints}[kind]
+    values = {t: draw(value) for t in WEIGHING_TERMS}
+    values["zero"] = 0 if kind == "int" else 0.0
+    if kind != "int":
+        values["tiny"] = values["Tiny"] = 1.5e-162
+    idf = IdfTable(values, default_idf=draw(value))
+    words = st.sampled_from(WEIGHING_WORDS)
+    texts = draw(st.lists(st.lists(words, max_size=10).map(" ".join), max_size=10))
+    for text in (" ".join([draw(words)] * draw(st.integers(2, 5))), "zero zero. zero"):
+        texts.insert(draw(st.integers(0, len(texts))), text)
+    return toy_citation_set(texts), idf, draw(st.sampled_from(TOKENIZERS))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(weighing_cases())
+def test_property_graph_build_weighs_edge_cases_like_the_oracle(case):
+    cs, idf, tokenizer = case
+    assert_build_matches_oracle(cs, idf, tokenizer)
+    p = _postings(cs, idf, tokenizer)
+    vectors = [tfidf_vector(tokenize(s.text, tokenizer), idf) for s in cs.sentences]
+    assert p.norms.tobytes() == np.array([v.norm for v in vectors]).tobytes()
+    for i, v in enumerate(vectors):  # a sentence's entries, in sorted term order
+        expected = np.array([v.weights[t] for t in sorted(v.weights)], dtype=float)
+        assert p.weight[p.row == i].tobytes() == expected.tobytes()
+
+
+def test_graph_build_overflows_to_inf_without_a_warning():
+    # tfidf_vector's Python floats overflow to inf silently: 2 * 1e308 is an
+    # inf weight, and 1e200 squared an inf norm.  Neither term is shared, so
+    # no pair product overflows.
+    cs = toy_citation_set(["huge huge", "big a", "a b", "b"])
+    idf = IdfTable({"huge": 1e308, "big": 1e200}, default_idf=1.0)
+    assert_build_matches_oracle(cs, idf, TokenizerConfig())
+    assert np.isinf(_postings(cs, idf, TokenizerConfig()).norms[:2]).all()
 
 
 def test_graph_build_matches_oracle_across_postings_blocks():
