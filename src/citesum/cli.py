@@ -99,8 +99,8 @@ def _write_files(files: dict[Path, str]) -> None:
         _write_atomic(path, text)
 
 
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class _Run:
@@ -109,25 +109,36 @@ class _Run:
     The config is ``--config`` with the flags on top; each config flag's dest
     is its RunConfig field.  Stage ``load`` reads the tokenizer, citation
     set, IDF table and any ``--annotations``; stage ``graph`` builds the
-    sentence graph, or leaves ``graph`` None if not ``build_graph``.
+    sentence graph, or leaves ``graph`` None if not ``build_graph``.  Each
+    input file is read once, and ``inputs`` keeps the bytes its loader
+    parsed, by path, for the manifest's digests.
     """
 
     def __init__(self, args: argparse.Namespace, build_graph: bool = True):
         self.stages: dict[str, float] = {}
+        self.inputs: dict[str, bytes] = {}
         self._last = time.perf_counter()
         overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         if args.config:
-            self.cfg = load_run_config(args.config, overrides)
+            self.cfg = load_run_config(args.config, overrides, self._read(args.config))
         else:
             self.cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-        tokenizer = TokenizerConfig.from_run_config(self.cfg)
-        self.cs = load_citation_set(args.infile)
-        idf = load_idf_table(args.idf) if args.idf else uniform_idf()
+        stopword_path = self.cfg.stopword_path
+        tokenizer = TokenizerConfig.from_run_config(self.cfg, self._read(stopword_path) if stopword_path else None)
+        self.cs = load_citation_set(args.infile, self._read(args.infile))
+        idf = load_idf_table(args.idf, self._read(args.idf)) if args.idf else uniform_idf()
         annotations = getattr(args, "annotations", None)
-        self.annotation = load_factoid_annotation(annotations, self.cs) if annotations else None
+        self.annotation = (
+            load_factoid_annotation(annotations, self.cs, self._read(annotations)) if annotations else None
+        )
         self.mark("load")
         self.graph = build_citation_summary_network(self.cs, idf, tokenizer) if build_graph else None
         self.mark("graph")
+
+    def _read(self, path: str) -> bytes:
+        """The bytes of the input file at ``path``, kept in ``inputs``."""
+        data = self.inputs[str(path)] = Path(path).read_bytes()
+        return data
 
     def mark(self, stage: str) -> None:
         """Record the seconds since the previous mark as ``stage``."""
@@ -198,7 +209,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "trials": trials,
         "config": asdict(run.cfg),
         "inputs": {
-            str(p): _sha256(p)
+            str(p): _sha256(run.inputs[str(p)])
             for p in [args.infile, args.idf, args.annotations, args.config, run.cfg.stopword_path]
             if p
         },

@@ -2,7 +2,8 @@
 
 File formats (all UTF-8 without a byte order mark, line oriented; every
 loader reads through ``_read_text``, which names the line of a byte that is
-not UTF-8):
+not UTF-8; the loaders of a run's inputs also take the file's bytes as
+``data`` when the caller has read them already):
   - citation set: JSON lines, one object per sentence:
         {"id": str, "text": str, "source_doc": str}
     Line order is significant and preserved.
@@ -210,11 +211,11 @@ class RunConfig:
 _CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+def load_run_config(path: str | Path, overrides: dict | None = None, data: bytes | None = None) -> RunConfig:
     """Parse a ``key = value`` config file; ``overrides`` (CLI flags) win."""
     values: dict = {}
     fieldtypes = {f: RunConfig.__dataclass_fields__[f].type for f in RunConfig.__dataclass_fields__}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+    for lineno, raw in enumerate(_read_lines(path, data), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -245,10 +246,10 @@ def _coerce_config_value(key: str, value: str, path, lineno: int):
     return number
 
 
-def load_stopwords(path: str | Path) -> frozenset[str]:
+def load_stopwords(path: str | Path, data: bytes | None = None) -> frozenset[str]:
     """One stopword per line; blank lines and # comments ignored."""
     words = set()
-    for raw in _read_lines(path):
+    for raw in _read_lines(path, data):
         w = raw.split("#", 1)[0].strip()
         if w:
             words.add(w.lower())
@@ -277,8 +278,8 @@ def _read_text(path: str | Path, data: bytes | None = None) -> str:
     return text
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return _read_text(path).splitlines()
+def _read_lines(path: str | Path, data: bytes | None = None) -> list[str]:
+    return _read_text(path, data).splitlines()
 
 
 def _tsv_rows(path: str | Path, fields: tuple[str, ...], lines: list[str] | None = None):
@@ -297,7 +298,7 @@ def _tsv_rows(path: str | Path, fields: tuple[str, ...], lines: list[str] | None
         yield lineno, cells
 
 
-def load_citation_set(path: str | Path) -> CitationSet:
+def load_citation_set(path: str | Path, data: bytes | None = None) -> CitationSet:
     """Load a JSON-lines citation set, preserving file order.
 
     Raises ParseError naming the offending line for malformed JSON, and
@@ -309,7 +310,7 @@ def load_citation_set(path: str | Path) -> CitationSet:
     path = Path(path)
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+    for lineno, raw in enumerate(_read_lines(path, data), start=1):
         if not raw.strip():
             continue
         try:
@@ -347,7 +348,7 @@ def load_citation_set(path: str | Path) -> CitationSet:
     return CitationSet(sentences=tuple(sentences))
 
 
-def load_factoid_annotation(path: str | Path, cs: CitationSet) -> FactoidAnnotation:
+def load_factoid_annotation(path: str | Path, cs: CitationSet, data: bytes | None = None) -> FactoidAnnotation:
     """Load ``sentence_id<TAB>factoid_id`` rows against a citation set.
 
     Sentences absent from the file get the empty factoid set.  Unknown
@@ -356,7 +357,7 @@ def load_factoid_annotation(path: str | Path, cs: CitationSet) -> FactoidAnnotat
     known = set(cs.ids)
     sentence_factoids: dict[str, set[str]] = {s.id: set() for s in cs.sentences}
     factoid_ids: set[str] = set()
-    for lineno, (sid, fid) in _tsv_rows(path, ("sentence_id", "factoid_id")):
+    for lineno, (sid, fid) in _tsv_rows(path, ("sentence_id", "factoid_id"), _read_lines(path, data)):
         sid, fid = sid.strip(), fid.strip()
         if sid not in known:
             raise ValidationError(f"{path}:{lineno}: unknown sentence id {sid!r}")
@@ -438,7 +439,7 @@ _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 _NOT_A_FORM_BYTE = bytes(b for b in range(256) if b not in b"\t\n#\r\v\f\x1c\x1d\x1e\x1f\xc2\xe2")
 
 
-def load_idf_table(path: str | Path) -> IdfTable:
+def load_idf_table(path: str | Path, data: bytes | None = None) -> IdfTable:
     """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf.
 
     A valid file is parsed in bulk, by ``_idf_table_in_bulk``.  A file in
@@ -451,7 +452,8 @@ def load_idf_table(path: str | Path) -> IdfTable:
     a bad row or no row at all does ``_raise_first_bad_idf_line`` walk the
     lines one at a time to name the first bad one.
     """
-    data = Path(path).read_bytes()
+    if data is None:
+        data = Path(path).read_bytes()
     text = _read_text(path, data)
     table = _idf_table_in_bulk(data, text)
     if table is None:

@@ -33,11 +33,12 @@ class TokenizerConfig:
     stopwords: frozenset[str] = frozenset()
 
     @staticmethod
-    def from_run_config(cfg: RunConfig) -> "TokenizerConfig":
-        """The tokenizer a run's config names, reading its stopword file if any."""
+    def from_run_config(cfg: RunConfig, data: bytes | None = None) -> "TokenizerConfig":
+        """The tokenizer a run's config names, reading its stopword file if any
+        (``data`` is that file's bytes if the caller has read them already)."""
         stopwords: frozenset[str] = frozenset()
         if cfg.stopword_path is not None:
-            stopwords = load_stopwords(cfg.stopword_path)
+            stopwords = load_stopwords(cfg.stopword_path, data)
         return TokenizerConfig(cfg.lowercase, cfg.strip_punctuation, stopwords)
 
 

@@ -4,6 +4,12 @@ Every method returns an Ordering of every node.  A walk's (LexRank,
 DivRank) is a RankScores: the ids by descending stationary score, plus the
 scores themselves (non-negative, sum 1) and how the solve ended.  Everything
 here is pure given (graph, parameters, seed).
+
+Both walks sweep an n x n matrix once per iteration through one row-block
+pool, ``_row_block_pool``: above one block of ``ROW_BLOCK_BYTES`` of rows,
+a sweep's blocks are split over up to one thread per usable CPU, and the
+blocks' shares are added in a fixed order, so the result does not depend
+on the number of threads.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from .graph import SimilarityGraph
 
 MAX_ITERATIONS = 10_000
 RESIDUAL_TOLERANCE = 1e-8
-# DivRank walks its n x n transitions in blocks of this many bytes of rows:
-# each sweep reads a block twice, the second time from cache.  1 MiB holds the
-# whole matrix up to n = 362.
-DIVRANK_BLOCK_BYTES = 1 << 20
+# Both walks read their n x n transitions in blocks of this many bytes of
+# rows; DivRank reads a block twice per sweep, the second time from cache.
+# 1 MiB holds the whole matrix up to n = 362.
+ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,22 @@ def _transition_matrix(adj: np.ndarray) -> np.ndarray:
     return t
 
 
+def _check_unit_interval(**params: float) -> None:
+    """Raise ValueError naming the first of ``params`` that is NaN or outside [0, 1]."""
+    for name, value in params.items():
+        if not 0.0 <= value <= 1.0:  # false for NaN too
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _lexrank_block(b: slice, t_b: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """Rows ``b``'s share of ``t.T @ p``, ``p[b] @ t[b]``, into ``out``; ``t_b`` is ``t[b]``.
+
+    ``np.dot(p, t)`` gives the bits of ``t.T @ p``; ``np.dot`` for the reason
+    ``_divrank_block`` gives.
+    """
+    np.dot(p[b], t_b, out=out)
+
+
 def lexrank(
     g: SimilarityGraph,
     threshold: float = 0.10,
@@ -82,22 +104,34 @@ def lexrank(
 
     Edges exist where cosine is strictly above the threshold; transitions are
     uniform over a node's edges, and nodes with no edges jump uniformly.
-    Power iteration with an L1 stopping rule.
+    Power iteration with an L1 stopping rule; ``damping`` must be in [0, 1].
+
+    Each sweep's ``t.T @ p`` runs through ``_row_block_pool``, its blocks'
+    shares added in block order.  With one block (n <= 362 at 1 MiB) that is
+    one ``np.dot(p, t)``, whose bits are those of ``t.T @ p``; above that, the
+    per-block partial sums change the summation order, and scores by a few
+    units in the last place.  The bits never depend on the number of
+    threads.
     """
+    _check_unit_interval(damping=damping)
     n = len(g)
     if n == 0:
         raise ValueError("cannot rank an empty graph")
     t = _transition_matrix(g.binarize(threshold))
-    p = np.full(n, 1.0 / n)
+    p, p_next, step = np.full(n, 1.0 / n), np.empty(n), np.empty(n)
     jump = (1.0 - damping) / n
     residual = 0.0
     iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        p_next = jump + damping * (t.T @ p)
-        residual = float(np.abs(p_next - p).sum())
-        p = p_next
-        if residual < RESIDUAL_TOLERANCE:
-            break
+    with _row_block_pool(t, _lexrank_block) as sweep:
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            sweep((p,), True, p_next)  # t.T @ p
+            p_next *= damping
+            p_next += jump
+            np.subtract(p_next, p, out=step)
+            residual = float(np.abs(step, out=step).sum())
+            p, p_next = p_next, p
+            if residual < RESIDUAL_TOLERANCE:
+                break
     p /= p.sum()
     return _ranking(g, p, "lexrank", iterations, residual)
 
@@ -141,42 +175,38 @@ def _divrank_block(b: slice, p0_b: np.ndarray, p: np.ndarray, d: np.ndarray, pos
 
 
 @contextlib.contextmanager
-def _reinforced_product(p0: np.ndarray) -> Iterator[Callable[[np.ndarray, bool, np.ndarray], None]]:
-    """Yield ``reinforce(p, forward, out)``, which sets ``out = (p / d) @ p0``
-    with ``d = p0 @ p``, leaving out the rows where ``p`` or ``d`` is 0.
+def _row_block_pool(m: np.ndarray, job: Callable[..., None]) -> Iterator[Callable[[tuple, bool, np.ndarray], None]]:
+    """Yield ``sweep(args, forward, out)``, which sets ``out`` to the sum over
+    ``m``'s blocks of ``ROW_BLOCK_BYTES`` of rows of what ``job(rows, m[rows],
+    *args, share)`` writes into ``share``.
 
-    The blocks' shares are added in block order when ``forward`` and in
-    reverse order otherwise (see ``divrank``).  With ``min(blocks, usable
-    CPUs)`` threads above one, the workers start here, a pair of locks per
-    worker marks the start and the end of each sweep, and on any exit every
-    worker is stopped and joined.  A worker's exception is raised in the
-    caller at the end of the sweep.
+    With one block (n <= 362 at 1 MiB) the caller runs the job into ``out``
+    itself.  Otherwise each block writes its share into its own row of a
+    blocks x n partials buffer, and the caller adds the rows in block order
+    when ``forward`` and in reverse order otherwise, so every add and its
+    order are the same on any number of threads.  The blocks are split into
+    contiguous shares over ``min(blocks, usable CPUs)`` threads: the caller
+    and workers started here, each walking its share in the sweep's
+    direction.  A pair of locks per worker marks the start and the end of
+    each sweep, and on any exit every worker is stopped and joined.  A
+    worker's exception is raised in the caller at the end of the sweep.
     """
-    n = len(p0)
-    rows = max(1, DIVRANK_BLOCK_BYTES // (8 * n))
-    blocks = [(slice(i, i + rows), p0[i : i + rows]) for i in range(0, n, rows)]
+    n = len(m)
+    rows = max(1, ROW_BLOCK_BYTES // (8 * n))
+    blocks = [(slice(i, i + rows), m[i : i + rows]) for i in range(0, n, rows)]
     nb = len(blocks)
-    # Backward sweeps start from the block the forward sweep read last, which
-    # may still be in cache, and the other way round.
-    orders = (range(nb)[::-1], range(nb))
-    d = np.empty(n)
-    workers = min(nb, _usable_cpus())
-    if workers == 1:
-        part = np.empty(n)
+    if nb == 1:
 
-        def reinforce(p: np.ndarray, forward: bool, out: np.ndarray) -> None:
-            positive = p.min() > 0.0
-            for i, k in enumerate(orders[forward]):
-                _divrank_block(*blocks[k], p, d, positive, part if i else out)
-                if i:
-                    out += part
+        def sweep(args: tuple, forward: bool, out: np.ndarray) -> None:
+            job(*blocks[0], *args, out)
 
-        yield reinforce
+        yield sweep
         return
 
     parts = np.empty((nb, n))
+    workers = min(nb, _usable_cpus())
     shares = [range(w * nb // workers, (w + 1) * nb // workers) for w in range(workers)]
-    sweep = [None, True, True]  # this sweep's p, positive and forward
+    current = [(), True]  # this sweep's args and direction
     # Each worker's two locks, held while it may not run: the caller releases
     # ``go`` to start a sweep, the worker releases ``done`` when its share is in.
     go = [threading.Lock() for _ in shares[1:]]
@@ -187,9 +217,9 @@ def _reinforced_product(p0: np.ndarray) -> Iterator[Callable[[np.ndarray, bool, 
     errors = []
 
     def run(share: range) -> None:
-        p, positive, forward = sweep
+        args, forward = current
         for k in share if forward else share[::-1]:
-            _divrank_block(*blocks[k], p, d, positive, parts[k])
+            job(*blocks[k], *args, parts[k])
 
     def work(go: threading.Lock, done: threading.Lock, share: range) -> None:
         while True:
@@ -202,8 +232,8 @@ def _reinforced_product(p0: np.ndarray) -> Iterator[Callable[[np.ndarray, bool, 
                 errors.append(exc)
             done.release()
 
-    def reinforce(p: np.ndarray, forward: bool, out: np.ndarray) -> None:
-        sweep[:] = p, p.min() > 0.0, forward
+    def sweep(args: tuple, forward: bool, out: np.ndarray) -> None:
+        current[:] = args, forward
         for lock in go:
             lock.release()
         run(shares[0])
@@ -211,7 +241,7 @@ def _reinforced_product(p0: np.ndarray) -> Iterator[Callable[[np.ndarray, bool, 
             lock.acquire()
         if errors:
             raise errors[0]
-        first, second, *rest = orders[forward]
+        first, second, *rest = range(nb) if forward else range(nb)[::-1]
         np.add(parts[first], parts[second], out=out)
         for k in rest:
             out += parts[k]
@@ -219,10 +249,10 @@ def _reinforced_product(p0: np.ndarray) -> Iterator[Callable[[np.ndarray, bool, 
     threads = []
     try:
         for args in zip(go, done, shares[1:]):
-            thread = threading.Thread(target=work, args=args, name="divrank", daemon=True)
+            thread = threading.Thread(target=work, args=args, name="row-blocks", daemon=True)
             thread.start()
             threads.append(thread)
-        yield reinforce
+        yield sweep
     finally:
         # Each worker checks ``stopping`` after taking its ``go``.  Only this
         # thread releases a ``go``, so one that is not held is still to be
@@ -245,31 +275,29 @@ def divrank(
 
     Uses the cumulative approximation: the running score stands in for the
     visit count, so each sweep redistributes mass toward already-heavy nodes
-    while the (1-lam) teleport keeps the prior in play.  Uniform prior when
-    none is supplied; a supplied prior must be finite and non-negative, not
-    all zero, and name only nodes of ``g`` (a node it omits gets 0).
+    while the (1-lam) teleport keeps the prior in play.  ``lam`` and
+    ``alpha`` must be in [0, 1].  Uniform prior when none is supplied; a
+    supplied prior must be finite and non-negative, not all zero, and name
+    only nodes of ``g`` (a node it omits gets 0).
 
-    Each sweep reads the n x n base transitions ``p0`` once, in blocks of
-    ``DIVRANK_BLOCK_BYTES`` of rows: a block gives its rows of ``d = p0 @ p``
-    and, while still in cache, its rows' share of ``(p / d) @ p0``.  A block
-    needs only the previous sweep's ``p``, so the blocks are split into
-    contiguous shares over up to one thread per usable CPU: the caller and
-    persistent workers, whose products run in ``np.dot`` outside the GIL.
-    Each block writes its share into its own row of a blocks x n partials
-    buffer, and the caller adds the rows in one fixed order, forward on odd
-    sweeps and backward on even ones; every add and its order are the same
-    on any number of threads, and so are the results.  With one block
-    (n <= 362 at 1 MiB) or one usable CPU no thread is started and no
-    partials are kept.  Memory is ``p0`` plus the partials and a few
-    length-n buffers.  With one block the arithmetic is that of the
-    unblocked walk, bit for bit; above that, the per-block partial sums
-    change the summation order, and scores by a few units in the last place.
+    Each sweep reads the n x n base transitions ``p0`` once, through
+    ``_row_block_pool``: a block gives its rows of ``d = p0 @ p`` and, while
+    still in cache, its rows' share of ``(p / d) @ p0``.  A block needs only
+    the previous sweep's ``p``, so the blocks may run on several threads.
+    The shares are added forward on odd sweeps and backward on even ones,
+    and each sweep walks the blocks in that direction, so it starts on the
+    block the last one read.  Memory is ``p0`` plus the partials and a few
+    length-n buffers.  With one block (n <= 362 at 1 MiB) the arithmetic is
+    that of the unblocked walk, bit for bit; above that, the per-block
+    partial sums change the summation order, and scores by a few units in
+    the last place.  The bits never depend on the number of threads.
 
     The reinforced product leaves out nodes with ``p == 0`` or ``d == 0``,
     where ``p / d`` is undefined.  It runs masked only when there is such a
     node, which takes a prior with zeros: a positive prior keeps ``p > 0``,
     and then ``d > 0``, since every row of the base transitions sums to 1.
     """
+    _check_unit_interval(lam=lam, alpha=alpha)
     n = len(g)
     if n == 0:
         raise ValueError("cannot rank an empty graph")
@@ -287,15 +315,15 @@ def divrank(
 
     teleport = (1.0 - lam) * p_star
     p, p_next = np.full(n, 1.0 / n), np.empty(n)
-    step = np.empty(n)
+    d, step = np.empty(n), np.empty(n)
     residual = 0.0
     iterations = 0
-    with _reinforced_product(_divrank_base_transitions(g, alpha)) as reinforce:
+    with _row_block_pool(_divrank_base_transitions(g, alpha), _divrank_block) as sweep:
         for iterations in range(1, MAX_ITERATIONS + 1):
             # contrib[v] = sum_u p[u] * p0(u,v) / d[u], with d[u] = sum_v p0(u,v) * p[v]
             # (the visit count N estimated by p).
             contrib = p_next  # the spare buffer, which becomes p at the end of the sweep
-            reinforce(p, iterations % 2 == 1, contrib)
+            sweep((p, d, p.min() > 0.0), iterations % 2 == 1, contrib)
             contrib *= p
             contrib *= lam
             contrib += teleport

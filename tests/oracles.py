@@ -2,8 +2,8 @@
 
 These are the plain-loop implementations of greedy modularity agglomeration,
 all-pairs BFS, the cluster visiting order, the clustering coefficient, the
-LexRank and DivRank transitions, the DivRank walk, the MMR ordering, the
-seeded random ordering, the tokenizer, the similarity graph build with its
+LexRank and DivRank transitions, the LexRank and DivRank walks, the MMR
+ordering, the seeded random ordering, the tokenizer, the similarity graph build with its
 one-pair cosine, the DOT export and the per-line IDF table loader that the
 package shipped before its vectorized kernels, and the C-LexRank and C-RR
 summarizers that drained per-cluster queues and packed the budget
@@ -13,8 +13,8 @@ of Q, the same path statistics, the same visiting order, the same
 coefficient, the same transition matrices, the same ordering, the same
 terms, the same weights, the same DOT text, the same IDF table (items in
 order, the default's bits) or the same exception type and message, and the
-same summary.  DivRank gives the same scores, iteration count and residual
-while its transitions fit in one block of ``citesum.rank.DIVRANK_BLOCK_BYTES``;
+same summary.  Each walk gives the same scores, iteration count and residual
+while its transitions fit in one block of ``citesum.rank.ROW_BLOCK_BYTES``;
 over several blocks, the same iteration count and scores within a stated
 relative bound (see ``tests/test_kernels.py``).  The graph oracle tokenizes
 with ``tokenize_oracle``, so it is independent of the package's tokenizer
@@ -36,7 +36,7 @@ from citesum.community import Clustering, _clustering_from_members, cluster_cnm
 from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, ValidationError, _tsv_rows
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
-from citesum.rank import Ordering, RankScores, _divrank_base_transitions, lexrank
+from citesum.rank import Ordering, RankScores, _divrank_base_transitions, _transition_matrix, lexrank
 from citesum.summarize import Summary, _cluster_members, assemble_from_ordering, cluster_visit_order
 
 
@@ -186,6 +186,34 @@ def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndar
             p0[u, :] = alpha * w[u, :] / degrees[u]
             p0[u, u] = 1.0 - alpha
     return p0
+
+
+def lexrank_oracle(
+    g: SimilarityGraph,
+    threshold: float = 0.10,
+    damping: float = 0.85,
+) -> RankScores:
+    """The LexRank walk with one ``t.T @ p`` and new vectors on every iteration.
+
+    Reads ``MAX_ITERATIONS`` and ``RESIDUAL_TOLERANCE`` from ``citesum.rank``
+    at call time, as ``divrank_oracle`` does.
+    """
+    n = len(g)
+    if n == 0:
+        raise ValueError("cannot rank an empty graph")
+    t = _transition_matrix(g.binarize(threshold))
+    p = np.full(n, 1.0 / n)
+    jump = (1.0 - damping) / n
+    residual = 0.0
+    iterations = 0
+    for iterations in range(1, rank.MAX_ITERATIONS + 1):
+        p_next = jump + damping * (t.T @ p)
+        residual = float(np.abs(p_next - p).sum())
+        p = p_next
+        if residual < rank.RESIDUAL_TOLERANCE:
+            break
+    p /= p.sum()
+    return rank._ranking(g, p, "lexrank", iterations, residual)
 
 
 def divrank_oracle(

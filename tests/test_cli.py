@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, error mapping."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -134,6 +135,48 @@ class TestSummarize:
         )
         info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
         assert (info["budget"], info["seed"], info["trials"]) == (40, None, 1)
+
+    def test_manifest_digests_every_input_once(self, paths, tmp_path, capsys, monkeypatch):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\nof\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"stopword_path = {stopwords}\n", encoding="utf-8")
+        digested = []
+        digest = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda data: digested.append(data) or digest(data))
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--idf", paths["idf"], "--annotations", paths["factoids"],
+             "--config", str(config), "--method", "lexrank", "--budget", "40", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
+        names = [paths["citations"], paths["idf"], paths["factoids"], str(config), str(stopwords)]
+        assert info["inputs"] == {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+        assert digested == [Path(name).read_bytes() for name in names]
+
+    def test_manifest_digests_the_bytes_the_run_read(self, paths, tmp_path, capsys, monkeypatch):
+        # The IDF file is rewritten after it is loaded and before the manifest
+        # is written; the manifest names the table the run used.
+        idf = tmp_path / "idf.tsv"
+        original = Path(paths["idf"]).read_bytes()
+        idf.write_bytes(original)
+        load = cli.load_idf_table
+
+        def load_then_rewrite(*args, **kwargs):
+            table = load(*args, **kwargs)
+            idf.write_bytes(original + b"late\t1.0\n")
+            return table
+
+        monkeypatch.setattr(cli, "load_idf_table", load_then_rewrite)
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--idf", str(idf), "--method", "lexrank",
+             "--budget", "40", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
+        assert info["inputs"][str(idf)] == hashlib.sha256(original).hexdigest()
 
     @pytest.mark.parametrize("method", list(cli.SUMMARIZERS))
     def test_only_methods_that_read_the_graph_build_it(self, method, paths, tmp_path, capsys, monkeypatch):

@@ -3,10 +3,10 @@
 Equality here is strict: the same partition with the same member order, Q
 compared with ``==``, path statistics compared as exact tuples, the
 clustering coefficient compared with ``==``, the LexRank and DivRank
-transitions, the DivRank scores and the similarity weights with
-``np.array_equal``, DivRank's iteration count and residual and the MMR
-ordering with ``==``, and the DOT text with ``==``.  The one exception is
-DivRank over several blocks of rows, whose scores must agree to the relative
+transitions, the LexRank and DivRank scores and the similarity weights with
+``np.array_equal``, each walk's iteration count and residual and the MMR
+ordering with ``==``, and the DOT text with ``==``.  The one exception is a
+walk over several blocks of rows, whose scores must agree to the relative
 bound ``DIVRANK_BLOCKED_RTOL``; there, the scores' bytes, the iteration
 count and the residual must not depend on the number of usable CPUs.
 """
@@ -31,6 +31,7 @@ from oracles import (
     clustering_coefficient_oracle,
     divrank_base_transitions_oracle,
     divrank_oracle,
+    lexrank_oracle,
     mmr_order_oracle,
     to_dot_oracle,
     transition_matrix_oracle,
@@ -54,6 +55,7 @@ from citesum.rank import (
     _transition_matrix,
     divrank,
     divrank_prior_from_length,
+    lexrank,
     mmr_order,
 )
 from citesum.summarize import cluster_visit_order
@@ -346,18 +348,51 @@ def test_divrank_matches_oracle_with_an_empty_mask():
     assert scores.tolist() == [1.0, 0.0]
 
 
-# Over several blocks of rows, DivRank adds its reinforced product block by
-# block, so the summation order differs from the one-pass oracle's.  Scores
-# then agree to this relative bound (observed: under 4e-15), the iteration
-# counts exactly, and the orderings wherever the oracle's scores are further
-# apart than the bound allows either side to move.
+def assert_same_lexrank(g, threshold: float, damping: float) -> None:
+    fast, oracle = lexrank(g, threshold, damping), lexrank_oracle(g, threshold, damping)
+    assert list(fast.scores) == list(oracle.scores)
+    assert np.array_equal(np.array(list(fast.scores.values())), np.array(list(oracle.scores.values())))
+    assert fast.iterations == oracle.iterations
+    assert fast.residual == oracle.residual
+    assert fast.ids == oracle.ids
+    assert fast.method == oracle.method
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("isolated_share", [0.0, 0.2])
+def test_lexrank_matches_oracle(family, isolated_share):
+    # Isolated nodes, and nodes the threshold cuts off, are dangling rows.
+    rng = np.random.default_rng(FAMILIES.index(family) + (731 if isolated_share else 721))
+    for _ in range(12):
+        g, _ = with_isolated_nodes(rng, int(rng.integers(1, 60)), family, isolated_share)
+        assert_same_lexrank(g, float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.05, 0.95)))
+
+
+def test_lexrank_matches_oracle_on_fixture(nine_citations, nine_idf):
+    g = build_citation_summary_network(nine_citations, nine_idf)
+    assert_same_lexrank(g, 0.10, 0.85)
+
+
+# Over several blocks of rows, a walk adds its product block by block, so the
+# summation order differs from the one-pass oracle's.  Scores then agree to
+# this relative bound (observed: under 4e-15 for DivRank, 2e-15 for LexRank),
+# the iteration counts exactly, and the orderings wherever the oracle's scores
+# are further apart than the bound allows either side to move.
 DIVRANK_BLOCKED_RTOL = 1e-12
 
 
-def assert_close_divrank(g, rows: int, monkeypatch, **kwargs) -> np.ndarray:
-    """DivRank in blocks of ``rows`` rows (the last one ragged) against the oracle."""
-    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * len(g) * rows)
-    fast, oracle = divrank(g, **kwargs), divrank_oracle(g, **kwargs)
+# Each walk's solver, its oracle, and the name of its block job in citesum.rank.
+WALKS = {
+    "lexrank": (lexrank, lexrank_oracle, "_lexrank_block"),
+    "divrank": (divrank, divrank_oracle, "_divrank_block"),
+}
+
+
+def assert_close_walk(walk: str, g, rows: int, monkeypatch, **kwargs) -> np.ndarray:
+    """The walk in blocks of ``rows`` rows (the last one ragged), in ``walk_in_thread``, against its oracle."""
+    solve_oracle = WALKS[walk][1]
+    monkeypatch.setattr("citesum.rank.ROW_BLOCK_BYTES", 8 * len(g) * rows)
+    fast, oracle = walk_in_thread(walk, g, **kwargs), solve_oracle(g, **kwargs)
     assert list(fast.scores) == list(oracle.scores)
     assert fast.iterations == oracle.iterations
     assert fast.method == oracle.method
@@ -393,7 +428,7 @@ def test_divrank_in_several_blocks_matches_oracle(family, isolated_share, monkey
         # one-row blocks, then two to n - 1 rows with a ragged last block
         for rows in (1, int(rng.integers(2, n))):
             for prior in (None, length_prior):
-                assert_close_divrank(g, rows, monkeypatch, lam=lam, alpha=alpha, prior=prior)
+                assert_close_walk("divrank", g, rows, monkeypatch, lam=lam, alpha=alpha, prior=prior)
 
 
 def test_divrank_in_several_blocks_when_mass_underflows(monkeypatch):
@@ -413,7 +448,7 @@ def test_divrank_in_several_blocks_when_mass_underflows(monkeypatch):
         g = make_graph(w)
         prior = {node: (0.0 if iso else float(rng.uniform(0.1, 1.0))) for node, iso in zip(g.nodes, isolated)}
         for rows in (1, 3):
-            scores = assert_close_divrank(g, rows, monkeypatch, lam=0.3, prior=prior)
+            scores = assert_close_walk("divrank", g, rows, monkeypatch, lam=0.3, prior=prior)
             assert np.all(scores[isolated] == 0.0)
             assert np.all(np.isfinite(scores))
 
@@ -421,13 +456,26 @@ def test_divrank_in_several_blocks_when_mass_underflows(monkeypatch):
 def test_divrank_in_several_blocks_with_an_empty_mask(monkeypatch):
     # One row per block: n0's block has p > 0 but d = 0, n1's has p = 0.
     g = make_graph([[0.0, 0.5], [0.5, 0.0]])
-    scores = assert_close_divrank(g, 1, monkeypatch, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
+    scores = assert_close_walk("divrank", g, 1, monkeypatch, lam=0.0, alpha=1.0, prior={"n0": 1.0, "n1": 0.0})
     assert scores.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("isolated_share", [0.0, 0.2])
+def test_lexrank_in_several_blocks_matches_oracle(family, isolated_share, monkeypatch):
+    rng = np.random.default_rng(FAMILIES.index(family) + (1231 if isolated_share else 1221))
+    for _ in range(6):
+        n = int(rng.integers(5, 61))
+        g, _ = with_isolated_nodes(rng, n, family, isolated_share)
+        threshold, damping = float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.05, 0.95))
+        # one-row blocks, then two to n - 1 rows with a ragged last block
+        for rows in (1, int(rng.integers(2, n))):
+            assert_close_walk("lexrank", g, rows, monkeypatch, threshold=threshold, damping=damping)
 
 
 @pytest.fixture
 def short_switch_interval():
-    """Threads take turns every 10 us, so a race between DivRank's threads shows."""
+    """Threads take turns every 10 us, so a race between a walk's threads shows."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -436,15 +484,16 @@ def short_switch_interval():
         sys.setswitchinterval(interval)
 
 
-def divrank_in_thread(g, **kwargs):
-    """``divrank(g, **kwargs)`` in a thread named ``solve``, so that a hang fails
-    the test instead of stopping the suite.  The solve, ended by a result or
-    an exception, must leave no thread behind."""
+def walk_in_thread(walk: str, g, **kwargs):
+    """The walk on ``g`` in a thread named ``solve``, so that a hang fails the
+    test instead of stopping the suite.  The solve, ended by a result or an
+    exception, must leave no thread behind."""
+    solve_walk = WALKS[walk][0]
     outcome = []
 
     def solve():
         try:
-            outcome.append(divrank(g, **kwargs))
+            outcome.append(solve_walk(g, **kwargs))
         except Exception as exc:
             outcome.append(exc)
 
@@ -452,15 +501,15 @@ def divrank_in_thread(g, **kwargs):
     solver = threading.Thread(target=solve, name="solve", daemon=True)
     solver.start()
     solver.join(timeout=60)
-    assert not solver.is_alive(), "divrank hung"
+    assert not solver.is_alive(), f"{walk} hung"
     assert threading.active_count() == before
     if isinstance(outcome[0], Exception):
         raise outcome[0]
     return outcome[0]
 
 
-def assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, **kwargs) -> np.ndarray:
-    """DivRank in 2 to 7 blocks of rows gives the same bits on 1, 2 and 3 usable CPUs.
+def assert_same_on_any_cpu_count(walk: str, g, rng, monkeypatch, **kwargs) -> np.ndarray:
+    """The walk in 2 to 7 blocks of rows gives the same bits on 1, 2 and 3 usable CPUs.
 
     ``g`` has at least 14 nodes.  The sweeps take one thread per usable CPU,
     up to one per block.
@@ -469,20 +518,21 @@ def assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, **kwargs) -> np.nd
     rows = int(rng.integers(-(-n // 7), -(-n // 2) + 1))
     blocks = -(-n // rows)
     assert 2 <= blocks <= 7
-    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * n * rows)
-    solve_block = rank._divrank_block
+    monkeypatch.setattr("citesum.rank.ROW_BLOCK_BYTES", 8 * n * rows)
+    job = WALKS[walk][2]
+    solve_block = getattr(rank, job)
     seen = set()
 
     def recording_block(*args):
         seen.add(threading.get_ident())
         solve_block(*args)
 
-    monkeypatch.setattr("citesum.rank._divrank_block", recording_block)
+    monkeypatch.setattr(rank, job, recording_block)
     results = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr("citesum.rank._usable_cpus", lambda: cpus)
         seen.clear()
-        results.append(divrank_in_thread(g, **kwargs))
+        results.append(walk_in_thread(walk, g, **kwargs))
         assert len(seen) == min(cpus, blocks)
     first = results[0]
     for other in results[1:]:
@@ -505,7 +555,7 @@ def test_divrank_bits_do_not_depend_on_the_cpu_count(family, monkeypatch):
         lam = float(rng.uniform(0.5, 0.95))
         alpha = float(rng.uniform(0.05, 0.95))
         for prior in (None, length_prior):
-            assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, lam=lam, alpha=alpha, prior=prior)
+            assert_same_on_any_cpu_count("divrank", g, rng, monkeypatch, lam=lam, alpha=alpha, prior=prior)
 
 
 @pytest.mark.usefixtures("short_switch_interval")
@@ -524,17 +574,27 @@ def test_divrank_bits_do_not_depend_on_the_cpu_count_when_mass_underflows(monkey
         w[:, isolated] = 0.0
         g = make_graph(w)
         prior = {node: (0.0 if iso else float(rng.uniform(0.1, 1.0))) for node, iso in zip(g.nodes, isolated)}
-        scores = assert_divrank_same_on_any_cpu_count(g, rng, monkeypatch, lam=0.3, prior=prior)
+        scores = assert_same_on_any_cpu_count("divrank", g, rng, monkeypatch, lam=0.3, prior=prior)
         assert np.all(scores[isolated] == 0.0)
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_divrank_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
-    # Four blocks over three threads; the share fails on the sixth sweep.
+@pytest.mark.usefixtures("short_switch_interval")
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lexrank_bits_do_not_depend_on_the_cpu_count(family, monkeypatch):
+    rng = np.random.default_rng(FAMILIES.index(family) + 1421)
+    for _ in range(6):
+        g, _ = with_isolated_nodes(rng, int(rng.integers(14, 61)), family, 0.1)
+        threshold, damping = float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.05, 0.95))
+        assert_same_on_any_cpu_count("lexrank", g, rng, monkeypatch, threshold=threshold, damping=damping)
+
+
+def assert_failing_share_raises(walk: str, failing: str, monkeypatch) -> None:
+    """Four blocks over three threads; the worker's or the caller's share fails on the sixth sweep."""
     g = random_graph(np.random.default_rng(1601), 40, "uniform")
-    monkeypatch.setattr("citesum.rank.DIVRANK_BLOCK_BYTES", 8 * 40 * 10)
+    monkeypatch.setattr("citesum.rank.ROW_BLOCK_BYTES", 8 * 40 * 10)
     monkeypatch.setattr("citesum.rank._usable_cpus", lambda: 3)
-    solve_block = rank._divrank_block
+    job = WALKS[walk][2]
+    solve_block = getattr(rank, job)
     calls = []
 
     def failing_block(*args):
@@ -543,9 +603,19 @@ def test_divrank_failing_share_raises_and_leaves_no_thread(failing, monkeypatch)
             raise RuntimeError(f"{failing} share failed")
         solve_block(*args)
 
-    monkeypatch.setattr("citesum.rank._divrank_block", failing_block)
+    monkeypatch.setattr(rank, job, failing_block)
     with pytest.raises(RuntimeError, match=f"^{failing} share failed$"):
-        divrank_in_thread(g)
+        walk_in_thread(walk, g)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_divrank_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
+    assert_failing_share_raises("divrank", failing, monkeypatch)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_lexrank_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
+    assert_failing_share_raises("lexrank", failing, monkeypatch)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -325,6 +325,53 @@ def test_empty_graph_raises_value_error(function, message):
         function(make_graph(np.zeros((0, 0))))
 
 
+@pytest.fixture
+def no_transitions(monkeypatch):
+    """A walk that builds its n x n transitions fails the test."""
+
+    def built(*args):
+        pytest.fail("the transitions were built")
+
+    monkeypatch.setattr(rank, "_transition_matrix", built)
+    monkeypatch.setattr(rank, "_divrank_base_transitions", built)
+
+
+OUTSIDE_THE_UNIT_INTERVAL = [1.5, -0.5, 1.0 + 1e-12, -1e-300, float("nan"), float("inf")]
+
+
+def path_of_three():
+    return make_graph([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]])
+
+
+@pytest.mark.usefixtures("no_transitions")
+@pytest.mark.parametrize("value", OUTSIDE_THE_UNIT_INTERVAL)
+def test_lexrank_rejects_a_damping_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match=rf"^damping must be in \[0, 1\], got {value!r}$"):
+        lexrank(path_of_three(), 0.1, value)
+
+
+@pytest.mark.usefixtures("no_transitions")
+@pytest.mark.parametrize("value", OUTSIDE_THE_UNIT_INTERVAL)
+def test_divrank_rejects_a_lam_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match=rf"^lam must be in \[0, 1\], got {value!r}$"):
+        divrank(path_of_three(), lam=value)
+
+
+@pytest.mark.usefixtures("no_transitions")
+@pytest.mark.parametrize("value", OUTSIDE_THE_UNIT_INTERVAL)
+def test_divrank_rejects_an_alpha_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match=rf"^alpha must be in \[0, 1\], got {value!r}$"):
+        divrank(path_of_three(), alpha=value)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_walk_parameters_take_the_ends_of_the_unit_interval(value):
+    g = path_of_three()
+    for result in (lexrank(g, 0.1, value), divrank(g, lam=value), divrank(g, alpha=value)):
+        assert all(score >= 0.0 for score in result.scores.values())
+        assert sum(result.scores.values()) == pytest.approx(1.0)
+
+
 def test_ordering_rejects_duplicates():
     with pytest.raises(ValueError, match="permutation"):
         Ordering(ids=("a", "a"), method="x")
