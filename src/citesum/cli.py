@@ -223,8 +223,6 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if os.path.basename(args.out) in ("", ".", ".."):
-        parser.error(f"--out {args.out!r} must end in a file name prefix, not a directory")
     if args.metric == "pyramid":
         if not (args.summary and args.citations and args.annotations):
             parser.error("--metric pyramid requires --summary, --citations, --annotations")
@@ -306,13 +304,25 @@ def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
+def _file_path(value: str) -> str:
+    """The ``type`` of every flag that names a file: ``value``, if its last part is a file name.
+
+    A last part that is empty, ``.`` or ``..`` names a directory, so it is a
+    usage error before anything is read or written.  Only the string is
+    tested, never the filesystem: a pyramid job passes a hundred paths.
+    """
+    if os.path.basename(value) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"{value!r} must end in a file name, not a directory")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, threshold: bool = True) -> None:
     """The inputs of every subcommand that builds the graph, and ``--threshold`` if it reads one."""
-    sub.add_argument("--in", dest="infile", required=True, help="citation set (JSON lines)")
-    sub.add_argument("--idf", help="IDF table TSV (default: uniform idf of 1.0)")
-    sub.add_argument("--config", help="key = value config file; flags win over its values")
+    sub.add_argument("--in", dest="infile", required=True, type=_file_path, help="citation set (JSON lines)")
+    sub.add_argument("--idf", type=_file_path, help="IDF table TSV (default: uniform idf of 1.0)")
+    sub.add_argument("--config", type=_file_path, help="key = value config file; flags win over its values")
     sub.add_argument(
-        "--stopwords", dest="stopword_path", metavar="STOPWORDS",
+        "--stopwords", dest="stopword_path", metavar="STOPWORDS", type=_file_path,
         help="stopword list, one word per line",
     )
     if threshold:
@@ -332,35 +342,35 @@ def _summarize_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, required=True, help="summary budget in words")
     sub.add_argument("--seed", type=int, help="required for stochastic methods")
     sub.add_argument("--trials", type=int, help="repeat count for --method random")
-    sub.add_argument("--annotations", help="factoid TSV; adds a pyramid report")
+    sub.add_argument("--annotations", type=_file_path, help="factoid TSV; adds a pyramid report")
     sub.add_argument("--out-dir", default=".", help="directory for output files")
-    sub.add_argument("--scores-out", help="also write the salience scores TSV")
+    sub.add_argument("--scores-out", type=_file_path, help="also write the salience scores TSV")
     for name in ("lambda", "alpha", "beta"):
         sub.add_argument(f"--divrank-{name}", type=float)
 
 
 def _evaluate_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--metric", required=True, choices=("pyramid", "rouge", "kappa"))
-    sub.add_argument("--out", default="report", help="output path prefix (.tsv/.json added)")
-    sub.add_argument("--summary", nargs="+", help="summary JSON file(s) (pyramid); one row each")
-    sub.add_argument("--citations", help="citation set JSONL (pyramid, kappa)")
-    sub.add_argument("--annotations", help="factoid TSV (pyramid)")
-    sub.add_argument("--candidate", help="candidate summary text file (rouge)")
-    sub.add_argument("--references", nargs="+", help="reference summary files (rouge)")
+    sub.add_argument("--out", default="report", type=_file_path, help="output path prefix (.tsv/.json added)")
+    sub.add_argument("--summary", nargs="+", type=_file_path, help="summary JSON file(s) (pyramid); one row each")
+    sub.add_argument("--citations", type=_file_path, help="citation set JSONL (pyramid, kappa)")
+    sub.add_argument("--annotations", type=_file_path, help="factoid TSV (pyramid)")
+    sub.add_argument("--candidate", type=_file_path, help="candidate summary text file (rouge)")
+    sub.add_argument("--references", nargs="+", type=_file_path, help="reference summary files (rouge)")
     sub.add_argument("--jackknife", action="store_true", help="leave-one-reference-out (rouge)")
-    sub.add_argument("--spans-a", help="first annotator span TSV (kappa)")
-    sub.add_argument("--spans-b", help="second annotator span TSV (kappa)")
+    sub.add_argument("--spans-a", type=_file_path, help="first annotator span TSV (kappa)")
+    sub.add_argument("--spans-b", type=_file_path, help="second annotator span TSV (kappa)")
     sub.add_argument("--chance-model", choices=("cohen", "scott", "uniform"), default="cohen")
 
 
 def _graph_stats_arguments(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
-    sub.add_argument("--dot", help="also write the binarized graph in DOT format")
+    sub.add_argument("--dot", type=_file_path, help="also write the binarized graph in DOT format")
 
 
 def _cluster_arguments(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, threshold=False)
-    sub.add_argument("--out", required=True, help="clustering TSV path")
+    sub.add_argument("--out", required=True, type=_file_path, help="clustering TSV path")
 
 
 class Subcommand(NamedTuple):

@@ -15,17 +15,17 @@ not UTF-8; the loaders of a run's inputs also take the file's bytes as
   - reference summary: plain text, one summary per file.
   - run configuration: ``key = value`` lines naming RunConfig fields.
 
-In the TSV files, blank lines and lines starting with ``#`` are skipped.
+In the TSV files, blank lines and lines starting with ``#`` are skipped;
+``_tsv_rows`` alone decides which lines those are, for every TSV loader.
 Every loader names the offending line of a file it rejects.  The IDF table,
-which every job loads, is parsed in bulk: a few passes over all rows at once
-split terms from values, convert the values with ``float`` and check the
-whole table.  A file in normal form (one tab in every newline-ended row, no
-``#``, and no character that ``str.splitlines`` breaks on or ``str.strip``
-removes but ``float`` keeps), which one ``bytes.translate`` pass proves,
-skips the two passes that drop blank and comment lines and strip each
-value, since they would change nothing.  Only a file that fails the checks
-is walked line by line, with the same checks, to name its first bad line; a
-valid file never is.
+which every job loads, is parsed one of two ways.  A file in normal form
+(one tab in every newline-ended row, no ``#``, and no character that
+``str.splitlines`` breaks on or ``str.strip`` removes but ``float`` keeps),
+which one ``bytes.translate`` pass proves, is parsed in bulk: a few passes
+over all rows at once split terms from values, convert the values with
+``float`` and check the whole table.  Any other file, and a file in normal
+form that fails those checks, is loaded line by line through
+``_tsv_rows``, which gives the same table or names the first bad line.
 Loaders only parse and validate: they keep each sentence's raw text and
 never tokenize it, since terms feed only the similarity graph, which
 tokenizes as it builds (``citesum.graph``).  Loaders are pure given the file bytes; everything they
@@ -37,11 +37,8 @@ from __future__ import annotations
 import codecs
 import json
 import math
-import re
 from dataclasses import dataclass, fields
-from itertools import compress
 from pathlib import Path
-from typing import NoReturn
 
 
 class DataError(ValueError):
@@ -236,7 +233,9 @@ def _coerce_config_value(key: str, value: str, path, lineno: int):
     try:
         if "bool" in annot:
             return _CONFIG_BOOLS[value.lower()]
-        if "float" not in annot:
+        if "float" not in annot:  # the one string field, a path
+            if not value:
+                raise ValueError
             return value
         number = float(value)
     except (KeyError, ValueError):
@@ -425,110 +424,65 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
-# A comment row, in rows joined with a newline before each.  Regex ``\S``
-# and ``str.strip`` share one whitespace test.
-_COMMENT_ROW = re.compile(r"\n[^\S\n]*#[^\n]*")
-# Every byte but tab and newline; no multi-byte UTF-8 character holds either.
-_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 # The bytes that decide an IDF file's normal form are tab, newline, "#",
 # the ASCII characters that ``str.splitlines`` breaks on or ``str.strip``
 # removes but ``float`` keeps (CR, VT, FF, U+001C to U+001F), and 0xC2 and
 # 0xE2, the lead bytes of the other three (U+0085, U+2028, U+2029).  This is
 # every other byte.  A lead byte also starts other characters, so a file
-# holding one of those is parsed the general way.
+# holding one of those is loaded line by line.
 _NOT_A_FORM_BYTE = bytes(b for b in range(256) if b not in b"\t\n#\r\v\f\x1c\x1d\x1e\x1f\xc2\xe2")
 
 
 def load_idf_table(path: str | Path, data: bytes | None = None) -> IdfTable:
     """Load ``term<TAB>idf`` rows, one per term; unseen terms default to the max observed idf.
 
-    A valid file is parsed in bulk, by ``_idf_table_in_bulk``.  A file in
-    normal form, which is what a tool writing one row per term writes, takes
-    a shortcut: one tab in every row, each row ending in a newline, no
-    ``#``, and none of the characters that ``str.splitlines`` breaks on or
-    ``str.strip`` removes but ``float`` keeps.  Such a file has no blank or
-    comment line, and stripping a value cannot change what ``float`` reads,
-    so its cells are split out as they are.  Only when the bulk parse finds
-    a bad row or no row at all does ``_raise_first_bad_idf_line`` walk the
-    lines one at a time to name the first bad one.
+    A file in normal form, which is what a tool writing one row per term
+    writes, is parsed in bulk by ``_idf_table_in_normal_form``: one tab in
+    every row, each row ending in a newline, no ``#``, and none of the
+    characters that ``str.splitlines`` breaks on or ``str.strip`` removes but
+    ``float`` keeps.  Such a file has no blank or comment line, and
+    stripping a value cannot change what ``float`` reads, so its cells are
+    split out as they are.  Any other file, or one whose rows the shortcut
+    rejects, is loaded line by line by ``_idf_table_by_line``, which gives
+    the same table or names the first bad line.
     """
     if data is None:
         data = Path(path).read_bytes()
     text = _read_text(path, data)
-    table = _idf_table_in_bulk(data, text)
-    if table is None:
-        _raise_first_bad_idf_line(path, text.splitlines())
-    return table
-
-
-def _idf_table_in_bulk(data: bytes, text: str) -> IdfTable | None:
-    """The table of an IDF file's bytes and text, or None if a row breaks a rule or there is none.
-
-    A file in normal form is parsed by ``_idf_table_in_normal_form``; any
-    other file, or one whose rows that shortcut rejects, is parsed as
-    follows.  Each step is one C-level pass over all rows.  Blank and
-    comment lines are dropped and the rows joined into one text, each after
-    a newline; a row holds exactly one tab iff that text's tabs and newlines
-    alternate.  One split then gives every term and value, and the values
-    are stripped as the line checks strip them (``float`` alone rejects the
-    U+001F that ``str.strip`` removes).
-    """
     table = _idf_table_in_normal_form(data, text)
-    if table is not None:
-        return table
-    lines = text.splitlines()
-    text = "\n" + "\n".join(compress(lines, map(str.strip, lines)))
-    if "#" in text:
-        text = _COMMENT_ROW.sub("", text)
-    rows = text.count("\n")
-    if not rows or text.encode().translate(None, _NOT_TAB_OR_NEWLINE) != b"\n\t" * rows:
-        return None
-    cells = text.replace("\n", "\t").split("\t")  # "", then each row's term and value
-    return _idf_table_of_cells(cells[1::2], map(str.strip, cells[2::2]), rows)
+    return table if table is not None else _idf_table_by_line(path, text.splitlines())
 
 
 def _idf_table_in_normal_form(data: bytes, text: str) -> IdfTable | None:
     """The table of an IDF file in normal form, or None if it is not or a row breaks a rule.
 
     One ``bytes.translate`` pass keeps the bytes that decide normal form;
-    the file is in it iff they are a tab and a newline once per row.  A
-    blank row then holds one tab and only whitespace, so its value fails
-    ``float`` and the caller parses the file the general way.
+    the file is in it iff they are a tab and a newline once per row.  The
+    values are converted with ``float``, and the finite, non-negative and
+    unique-term checks cover the whole table.  A blank row holds one tab
+    and only whitespace, so its value fails ``float`` and the file is
+    loaded line by line, which skips the row.
     """
     form = data.translate(None, _NOT_A_FORM_BYTE)
     rows = len(form) // 2
     if not rows or form != b"\t\n" * rows:
         return None
     cells = text.replace("\n", "\t").split("\t")  # each row's term and value, then ""
-    return _idf_table_of_cells(cells[::2], cells[1::2], rows)
-
-
-def _idf_table_of_cells(terms: list[str], values, rows: int) -> IdfTable | None:
-    """The table of ``rows`` terms and their value cells, or None if a check fails.
-
-    The values are converted with ``float``; the finite, non-negative and
-    unique-term checks cover the whole table.  ``terms`` may run one past
-    the values.
-    """
     try:
-        idfs = list(map(float, values))
+        idfs = list(map(float, cells[1::2]))
     except ValueError:
         return None
     if not (all(map(math.isfinite, idfs)) and min(idfs) >= 0):
         return None
-    table = dict(zip(terms, idfs))
-    if len(table) != rows:
+    table = dict(zip(cells[::2], idfs))
+    if len(table) != rows:  # a repeated term
         return None
     return IdfTable(values=table, default_idf=max(idfs))
 
 
-def _raise_first_bad_idf_line(path: str | Path, lines: list[str]) -> NoReturn:
-    """Raise the error that names the first bad line of an IDF file.
-
-    The per-line checks of ``load_idf_table``, run only once the bulk checks
-    have failed, so some line or the empty table breaks a rule.
-    """
-    seen: set[str] = set()
+def _idf_table_by_line(path: str | Path, lines: list[str]) -> IdfTable:
+    """The table of an IDF file's ``lines``, read one row at a time; the first bad line raises."""
+    values: dict[str, float] = {}
     for lineno, (term, value_s) in _tsv_rows(path, ("term", "idf"), lines):
         value_s = value_s.strip()
         try:
@@ -539,12 +493,12 @@ def _raise_first_bad_idf_line(path: str | Path, lines: list[str]) -> NoReturn:
             raise ValidationError(f"{path}:{lineno}: non-finite idf {value_s!r} for term {term!r}")
         if value < 0:
             raise ValidationError(f"{path}:{lineno}: negative idf {value} for term {term!r}")
-        if term in seen:
+        if term in values:
             raise ValidationError(f"{path}:{lineno}: repeated idf term {term!r}")
-        seen.add(term)
-    if seen:
-        raise RuntimeError(f"{path}: the bulk idf checks rejected rows the line checks accept")
-    raise ValidationError(f"{path}: empty idf table")
+        values[term] = value
+    if not values:
+        raise ValidationError(f"{path}: empty idf table")
+    return IdfTable(values=values, default_idf=max(values.values()))
 
 
 def load_reference_summary(path: str | Path) -> str:

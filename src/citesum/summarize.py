@@ -16,12 +16,11 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
 from .community import Clustering, block_sums, cluster_cnm
-from .corpus import CitationSet, DataError, RunConfig
+from .corpus import CitationSet, DataError, RunConfig, _read_text
 from .graph import SimilarityGraph
 from .rank import Ordering, lexrank
 
@@ -198,11 +197,15 @@ def summary_from_json(path) -> Summary:
     ``words`` is the word count of its ``text`` (``len(text.split())``, a
     truncated entry's too), no sentence id repeats, only the last entry may
     be truncated, and ``total_words`` is the sum of the entries' ``words``
-    and at most ``budget``; a DataError names the broken one.
+    and at most ``budget``; a DataError names the broken one.  The file is
+    read as every loader reads its input (``corpus._read_text``), so bytes
+    that are not UTF-8, or a leading byte order mark, are a ParseError
+    naming the line.
     """
+    text = _read_text(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid summary JSON ({exc})") from None
     _typed(path, payload, dict, "summary")
     entries = []

@@ -569,7 +569,7 @@ class TestEvaluate:
             main(["evaluate", "--metric", "rouge", "--candidate", str(inputs / "cand.txt"),
                   "--references", str(inputs / "ref.txt"), "--out", prefix])
         assert exc.value.code == 2
-        assert "must end in a file name prefix" in capsys.readouterr().err
+        assert "must end in a file name, not a directory" in capsys.readouterr().err
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [inputs / "cand.txt", inputs / "ref.txt"]
 
     def test_kappa_report_shape(self, paths, tmp_path, capsys):
@@ -799,6 +799,8 @@ INPUT_FLAGS = {
                    "--spans-b", "{spans}", "--out", "{out}/kap"], "ann1\ts1\t0\t11\n"),
     "--references": (["evaluate", "--metric", "rouge", "--candidate", "{candidate}", "--references",
                       "{bad}", "--out", "{out}/rg"], "the cat sat\n"),
+    "--summary": (["evaluate", "--metric", "pyramid", "--summary", "{bad}", "--citations", "{citations}",
+                   "--annotations", "{factoids}", "--out", "{out}/pyr"], '{"entries": [],\n'),
 }
 
 
@@ -819,11 +821,34 @@ def test_an_input_that_is_not_plain_utf8_is_a_data_error(flag, tail, message, pa
     (tmp_path / "in" / "spans.tsv").write_text("ann2\ts1\t0\t11\n", encoding="utf-8")
     (tmp_path / "in" / "candidate.txt").write_text("the cat sat down\n", encoding="utf-8")
     out = tmp_path / "out"
-    fields = {"bad": bad, "out": out, "citations": paths["citations"], "spans": tmp_path / "in" / "spans.tsv",
-              "candidate": tmp_path / "in" / "candidate.txt"}
+    fields = {"bad": bad, "out": out, "citations": paths["citations"], "factoids": paths["factoids"],
+              "spans": tmp_path / "in" / "spans.tsv", "candidate": tmp_path / "in" / "candidate.txt"}
     code, stdout, err = run([arg.format(**fields) for arg in template], capsys)
     assert (code, stdout, err) == (1, "", f"error: {bad}{message}\n")
     assert not out.exists()
+
+
+# Every flag that names a file, with its subcommand.  The value is checked as
+# the flag is parsed, before argparse looks for the required flags.
+PATH_FLAGS = [
+    *(("summarize", flag) for flag in ("--in", "--idf", "--config", "--stopwords", "--annotations", "--scores-out")),
+    ("graph-stats", "--dot"),
+    ("cluster", "--out"),
+    *(("evaluate", flag) for flag in ("--out", "--summary", "--citations", "--annotations", "--candidate",
+                                      "--references", "--spans-a", "--spans-b")),
+]
+
+
+@pytest.mark.parametrize("value", ["", ".", "..", "sub/", "sub/.", "sub/.."])
+@pytest.mark.parametrize("command, flag", PATH_FLAGS)
+def test_a_path_flag_must_name_a_file(command, flag, value, tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} must end in a file name, not a directory\n" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "sub"]
 
 
 def captured_parse(parser, argv, capsys):

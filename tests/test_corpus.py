@@ -200,12 +200,6 @@ class TestIdfTable:
         with pytest.raises(ParseError, match=r":1: expected 'term<TAB>idf'"):
             load_idf_table(path)
 
-    def test_line_checks_that_find_nothing_are_an_error(self, tmp_path):
-        path = write(tmp_path, "idf.tsv", "the\t0.5\n")
-        with mock.patch.object(corpus, "_idf_table_in_bulk", return_value=None):
-            with pytest.raises(RuntimeError, match="bulk idf checks rejected"):
-                load_idf_table(path)
-
 
 # Pieces of generated IDF files.  Every str.splitlines() line break, every
 # kind of padding str.strip() removes (U+001F is one that float() alone does
@@ -245,6 +239,20 @@ def idf_texts(draw, valid: bool):
     return text[:-1] if text and draw(st.booleans()) else text
 
 
+def in_normal_form(piece: str) -> bool:
+    """Whether ``piece`` holds none of the bytes that take an IDF file out of normal form."""
+    return not set(piece.encode("utf-8")) & set(b"\t\n#\r\v\f\x1c\x1d\x1e\x1f\xc2\xe2")
+
+
+@st.composite
+def normal_form_idf_texts(draw):
+    """A valid IDF file in normal form: one ``term<TAB>value`` row per term, each ending in a newline."""
+    pad = st.sampled_from([p for p in PADDING if in_normal_form(p)])
+    value = st.sampled_from([v for v in GOOD_VALUES if in_normal_form(v)])
+    terms = draw(st.lists(st.sampled_from([t for t in TERMS if in_normal_form(t)]), min_size=1, unique=True))
+    return "".join(f"{term}\t{draw(pad)}{draw(value)}{draw(pad)}\n" for term in terms)
+
+
 def load_outcome(load, path):
     """The table's items in order with each value's bits, or the error raised."""
     try:
@@ -268,15 +276,22 @@ def test_property_idf_loader_matches_per_line_oracle(idf_path, text):
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(idf_texts(valid=True))
-def test_property_valid_idf_file_never_reaches_the_line_loop(idf_path, text):
+def test_property_valid_idf_file_gives_the_oracle_table(idf_path, text):
     idf_path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(
-        corpus, "_raise_first_bad_idf_line", wraps=corpus._raise_first_bad_idf_line
-    ) as line_loop:
+    outcome = load_outcome(load_idf_table, idf_path)
+    assert outcome == load_outcome(load_idf_table_oracle, idf_path)
+    assert isinstance(outcome[0], list), outcome
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(normal_form_idf_texts())
+def test_property_normal_form_idf_file_never_reaches_the_line_loader(idf_path, text):
+    idf_path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(corpus, "_idf_table_by_line", wraps=corpus._idf_table_by_line) as by_line:
         outcome = load_outcome(load_idf_table, idf_path)
     assert outcome == load_outcome(load_idf_table_oracle, idf_path)
     assert isinstance(outcome[0], list), outcome
-    assert line_loop.call_count == 0
+    assert by_line.call_count == 0
 
 
 def test_idf_loader_peak_memory_is_within_twice_the_oracle(tmp_path):
@@ -336,10 +351,12 @@ class TestIdfNormalForm:
             "the\t0.5\u2028w\t1.0\n",
         ],
     )
-    def test_other_valid_tables_take_the_general_path(self, text, tmp_path, normal_form_results):
+    def test_other_valid_tables_load_line_by_line(self, text, tmp_path, normal_form_results):
         path = write(tmp_path, "idf.tsv", text)
-        outcome = load_outcome(load_idf_table, path)
+        with mock.patch.object(corpus, "_idf_table_by_line", wraps=corpus._idf_table_by_line) as by_line:
+            outcome = load_outcome(load_idf_table, path)
         assert normal_form_results == [None]
+        assert by_line.call_count == 1
         assert outcome == load_outcome(load_idf_table_oracle, path)
         assert isinstance(outcome[0], list), outcome
 
@@ -469,6 +486,11 @@ class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "run.cfg", "no_such_option = 3\n")
         with pytest.raises(ValidationError, match="no_such_option"):
+            load_run_config(path)
+
+    def test_an_empty_stopword_path_names_line(self, tmp_path):
+        path = write(tmp_path, "run.cfg", "# a comment\nstopword_path =\n")
+        with pytest.raises(ParseError, match=r"run.cfg:2: bad value '' for stopword_path"):
             load_run_config(path)
 
     def test_stopwords_loaded(self, tmp_path):
