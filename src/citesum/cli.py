@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
-    DataError, RunConfig, load_citation_set, load_factoid_annotation, load_idf_table, load_nugget_spans,
-    load_reference_summary, load_run_config, uniform_idf,
+    DataError, RunConfig, ends_in_file_name, load_citation_set, load_factoid_annotation, load_idf_table,
+    load_nugget_spans, load_reference_summary, load_run_config, uniform_idf,
 )
 from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
@@ -208,11 +208,7 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "seed": args.seed,
         "trials": trials,
         "config": asdict(run.cfg),
-        "inputs": {
-            str(p): _sha256(run.inputs[str(p)])
-            for p in [args.infile, args.idf, args.annotations, args.config, run.cfg.stopword_path]
-            if p
-        },
+        "inputs": {path: _sha256(data) for path, data in run.inputs.items()},
         "outputs": sorted(map(str, outputs)),
         "timings": run.stages,
     }
@@ -229,10 +225,13 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         cs = load_citation_set(args.citations)
         annotation = load_factoid_annotation(args.annotations, cs)
         pyramid = build_pyramid(annotation)
-        reports = [
-            pyramid_score(summary_from_json(path), annotation, pyramid)
-            for path in args.summary
-        ]
+        reports = []
+        for path in args.summary:
+            summary = summary_from_json(path)
+            try:
+                reports.append(pyramid_score(summary, annotation, pyramid))
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
         tsv, payload = report_to_tsv(reports), [r.to_dict() for r in reports]
     elif args.metric == "rouge":
         if not (args.candidate and args.references):
@@ -305,13 +304,9 @@ def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _file_path(value: str) -> str:
-    """The ``type`` of every flag that names a file: ``value``, if its last part is a file name.
-
-    A last part that is empty, ``.`` or ``..`` names a directory, so it is a
-    usage error before anything is read or written.  Only the string is
-    tested, never the filesystem: a pyramid job passes a hundred paths.
-    """
-    if os.path.basename(value) in ("", ".", ".."):
+    """The ``type`` of every flag that names a file: ``value``, if it ``ends_in_file_name``,
+    else a usage error before anything is read or written."""
+    if not ends_in_file_name(value):
         raise argparse.ArgumentTypeError(f"{value!r} must end in a file name, not a directory")
     return value
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import codecs
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -228,15 +229,21 @@ def load_run_config(path: str | Path, overrides: dict | None = None, data: bytes
     return RunConfig(**values)
 
 
+def ends_in_file_name(path: str) -> bool:
+    """Whether ``path``'s last part is a file name, not empty, ``.`` or ``..``.  Only the
+    string is tested, never the filesystem: a pyramid job passes a hundred paths."""
+    return os.path.basename(path) not in ("", ".", "..")
+
+
 def _coerce_config_value(key: str, value: str, path, lineno: int):
     annot = str(RunConfig.__dataclass_fields__[key].type)
+    if "str" in annot:  # the one string field, a path
+        if ends_in_file_name(value):
+            return value
+        raise ParseError(f"{path}:{lineno}: bad value {value!r} for {key}: it must end in a file name")
     try:
         if "bool" in annot:
             return _CONFIG_BOOLS[value.lower()]
-        if "float" not in annot:  # the one string field, a path
-            if not value:
-                raise ValueError
-            return value
         number = float(value)
     except (KeyError, ValueError):
         raise ParseError(f"{path}:{lineno}: bad value {value!r} for {key}") from None

@@ -58,10 +58,8 @@ class SimilarityGraph:
         return int(np.triu(self.binarize(threshold), 1).sum())
 
     def induced_subgraph(self, indices: list[int]) -> "SimilarityGraph":
-        idx = np.asarray(indices, dtype=int)
         return SimilarityGraph(
-            nodes=tuple(self.nodes[i] for i in indices),
-            weights=self.weights[np.ix_(idx, idx)].copy(),
+            nodes=tuple(self.nodes[i] for i in indices), weights=self.weights[np.ix_(indices, indices)]
         )
 
 

@@ -3,11 +3,13 @@
 The cluster-then-rank ordering (``c_lexrank_order``) partitions the
 similarity network into communities, ranks each community's sentences by
 within-cluster LexRank, and round-robins across communities in decreasing
-size order so each pass adds one more perspective.  The round-robin variant
-(``c_rr_order``) replaces the within-cluster ranking with seeded uniform
-picks.  Like every method, both return a full Ordering and never see the
-budget; ``assemble_from_ordering`` packs an ordering under the word budget,
-and ``c_lexrank_summary`` / ``c_rr_summary`` are the one-call forms.
+size order so each pass adds one more perspective; ties go to the larger
+internal weight, added left to right, since ``np.sum``'s pairwise rounding
+could reorder near-equal clusters.  The round-robin variant (``c_rr_order``)
+replaces the within-cluster ranking with seeded uniform picks.  Like every
+method, both return a full Ordering and never see the budget;
+``assemble_from_ordering`` packs an ordering under the word budget, and
+``c_lexrank_summary`` / ``c_rr_summary`` are the one-call forms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .community import Clustering, block_sums, cluster_cnm
+from .community import Clustering, cluster_cnm
 from .corpus import CitationSet, DataError, RunConfig, _read_text
 from .graph import SimilarityGraph
 from .rank import Ordering, lexrank
@@ -104,21 +106,19 @@ def assemble_from_ordering(cs: CitationSet, order: Ordering, budget: int) -> Sum
     return Summary(entries=tuple(entries), total_words=used, method=order.method, budget=budget)
 
 
-def cluster_visit_order(g: SimilarityGraph, clustering: Clustering) -> list[int]:
-    """Cluster indices in visiting order: decreasing size, then decreasing
-    internal weight, then lower index."""
-    labels = np.array([clustering.assignment[node] for node in g.nodes])
-    sizes = np.bincount(labels, minlength=clustering.g)
-    internal = np.diag(block_sums(g, labels, clustering.g))
-    return sorted(range(clustering.g), key=lambda c: (-sizes[c], -internal[c], c))
+def cluster_visit_order(g: SimilarityGraph, clustering: Clustering) -> list[list[int]]:
+    """Each cluster's node indices in input order, clusters in visiting order:
+    decreasing size, then decreasing internal weight, then lower index.
 
-
-def _cluster_members(g: SimilarityGraph, clustering: Clustering) -> list[list[int]]:
-    """Each cluster's node indices in input order, from one pass over the nodes."""
+    A cluster's internal weight is its block of ``g.weights`` added left to
+    right in row-major order (``np.cumsum``), as ``community.block_sums`` adds
+    it; ``np.sum`` adds pairwise, which could swap two clusters of one size.
+    """
     members: list[list[int]] = [[] for _ in range(clustering.g)]
     for i, node in enumerate(g.nodes):
         members[clustering.assignment[node]].append(i)
-    return members
+    # sorted is stable, so equal keys keep the lower cluster index first
+    return sorted(members, key=lambda m: (-len(m), -np.cumsum(g.weights[np.ix_(m, m)])[-1]))
 
 
 def _cluster_round_robin(g: SimilarityGraph, clustering: Clustering, order_cluster, method: str) -> Ordering:
@@ -127,8 +127,7 @@ def _cluster_round_robin(g: SimilarityGraph, clustering: Clustering, order_clust
     ``order_cluster`` is called on each cluster's node indices, clusters in
     visiting order, and returns the cluster's sentence ids in picking order.
     """
-    members = _cluster_members(g, clustering)
-    queues = [order_cluster(members[c]) for c in cluster_visit_order(g, clustering)]
+    queues = [order_cluster(m) for m in cluster_visit_order(g, clustering)]
     picks = [sid for row in zip_longest(*queues) for sid in row if sid is not None]
     return Ordering(tuple(picks), method)
 
@@ -145,8 +144,7 @@ def c_lexrank_order(
     cfg = cfg or RunConfig()
 
     def by_salience(idx: list[int]) -> tuple[str, ...]:
-        sub = g.induced_subgraph(idx)
-        return lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping).ids
+        return lexrank(g.induced_subgraph(idx), cfg.lexrank_edge_threshold, cfg.lexrank_damping).ids
 
     return _cluster_round_robin(g, clustering or cluster_cnm(g), by_salience, "c-lexrank")
 

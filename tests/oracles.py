@@ -37,7 +37,7 @@ from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, Validat
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
 from citesum.rank import Ordering, RankScores, _divrank_base_transitions, _transition_matrix, lexrank
-from citesum.summarize import Summary, _cluster_members, assemble_from_ordering, cluster_visit_order
+from citesum.summarize import Summary, assemble_from_ordering
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -376,12 +376,20 @@ def load_idf_table_oracle(path: str | Path) -> IdfTable:
     return IdfTable(values=values, default_idf=max(values.values()))
 
 
+def _cluster_members_oracle(g: SimilarityGraph, clustering: Clustering) -> list[list[int]]:
+    """Each cluster's node indices, ascending, one cluster at a time."""
+    return [
+        [i for i, node in enumerate(g.nodes) if clustering.assignment[node] == c]
+        for c in range(clustering.g)
+    ]
+
+
 def _clustered_rankings_oracle(
     g: SimilarityGraph, clustering: Clustering, cfg: RunConfig
 ) -> dict[int, list[str]]:
     """Within-cluster salience orderings on the induced binarized subgraphs."""
     rankings: dict[int, list[str]] = {}
-    for c, idx in enumerate(_cluster_members(g, clustering)):
+    for c, idx in enumerate(_cluster_members_oracle(g, clustering)):
         sub = g.induced_subgraph(idx)
         scores = lexrank(sub, cfg.lexrank_edge_threshold, cfg.lexrank_damping)
         rankings[c] = list(scores.ids)
@@ -417,7 +425,7 @@ def c_lexrank_summary_oracle(
     """
     cfg = cfg or RunConfig()
     clustering = clustering or cluster_cnm(g)
-    visit = cluster_visit_order(g, clustering)
+    visit = cluster_visit_order_oracle(g, clustering)
     rankings = _clustered_rankings_oracle(g, clustering, cfg)
     order = Ordering(tuple(_round_robin_oracle(visit, rankings)), "c-lexrank")
     return assemble_from_ordering(cs, order, budget)
@@ -432,8 +440,8 @@ def c_rr_summary_oracle(
 ) -> Summary:
     """Same cluster visiting order, but uniform seeded picks within clusters."""
     clustering = clustering or cluster_cnm(g)
-    visit = cluster_visit_order(g, clustering)
-    members = _cluster_members(g, clustering)
+    visit = cluster_visit_order_oracle(g, clustering)
+    members = _cluster_members_oracle(g, clustering)
     rng = random.Random(seed)
     shuffled: dict[int, list[str]] = {}
     for c in visit:

@@ -122,6 +122,32 @@ def test_summarizers_call_through_the_patched_names(method, fixture_paths, tmp_p
     assert calls == [1]
 
 
+@pytest.mark.parametrize("method", ["c-lexrank", "c-rr"])
+def test_clustered_methods_call_through_the_summarize_names(method, fixture_paths, tmp_path, monkeypatch):
+    """``community.cnm_calls`` and ``rank.lexrank_solves`` count calls of the
+    names in ``citesum.summarize``, looked up there at call time: one
+    ``cluster_cnm`` per job, and for c-lexrank one ``lexrank`` per cluster."""
+    partitions, solves = [], []
+    original_cnm, original_lexrank = citesum.summarize.cluster_cnm, citesum.summarize.lexrank
+    monkeypatch.setattr(
+        citesum.summarize, "cluster_cnm", lambda g: partitions.append(original_cnm(g)) or partitions[-1]
+    )
+    monkeypatch.setattr(
+        citesum.summarize, "lexrank", lambda g, *a: solves.append(len(g)) or original_lexrank(g, *a)
+    )
+    code = citesum.cli.main(
+        ["summarize", "--in", str(fixture_paths["citations"]), "--idf", str(fixture_paths["idf"]),
+         "--method", method, "--budget", "50", "--seed", "1", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    assert len(partitions) == 1
+    if method == "c-lexrank":
+        sizes = sorted(len(members) for members in partitions[0].clusters())
+        assert partitions[0].g > 1 and sorted(solves) == sizes
+    else:
+        assert solves == []
+
+
 EVALUATE_CALLS = {
     "pyramid": {"build_pyramid": 1, "pyramid_score": 2},  # one pyramid_score per --summary
     "rouge": {"rouge_n": 2},

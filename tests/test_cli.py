@@ -151,9 +151,24 @@ class TestSummarize:
         )
         assert code == 0
         info = json.loads((tmp_path / "w05-0622.lexrank.40.manifest.json").read_text())
-        names = [paths["citations"], paths["idf"], paths["factoids"], str(config), str(stopwords)]
+        names = [str(config), str(stopwords), paths["citations"], paths["idf"], paths["factoids"]]  # read order
         assert info["inputs"] == {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
         assert digested == [Path(name).read_bytes() for name in names]
+
+    @pytest.mark.parametrize("value", [".", "sub/", "stop.txt/"])
+    def test_config_stopword_path_must_end_in_a_file_name(self, value, paths, tmp_path, capsys, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "stop.txt").write_text("the\n", encoding="utf-8")
+        (tmp_path / "run.cfg").write_text(f"# stopwords\nstopword_path = {value}\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            ["summarize", "--in", paths["citations"], "--config", "run.cfg", "--method", "lexrank",
+             "--budget", "40", "--out-dir", "out"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: run.cfg:2: bad value {value!r} for stopword_path: it must end in a file name\n"
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_digests_the_bytes_the_run_read(self, paths, tmp_path, capsys, monkeypatch):
         # The IDF file is rewritten after it is loaded and before the manifest
@@ -445,6 +460,27 @@ class TestEvaluate:
         )
         assert code == 1
         assert "sX" in err
+
+    def test_a_summary_with_an_unknown_id_is_named(self, paths, tmp_path, capsys):
+        code, _, _ = run(
+            ["summarize", "--in", paths["citations"], "--method", "lexrank", "--budget", "40",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        good = tmp_path / "w05-0622.lexrank.40.json"
+        bad = tmp_path / "bad.json"
+        entry = {"id": "nope", "text": "w", "words": 1, "truncated": False, "source_doc": ""}
+        bad.write_text(json.dumps({"method": "x", "budget": 10, "total_words": 1, "entries": [entry]}))
+        code, out, err = run(
+            ["evaluate", "--metric", "pyramid", "--summary", str(good), str(bad),
+             "--citations", paths["citations"], "--annotations", paths["factoids"],
+             "--out", str(tmp_path / "pyr")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: summary sentence(s) missing from annotation: ['nope']\n"
+        assert not (tmp_path / "pyr.tsv").exists()
 
     @pytest.mark.parametrize(
         "change, message",

@@ -75,6 +75,19 @@ def random_graph(rng: np.random.Generator, n: int, family: str):
     return make_graph(w + w.T)
 
 
+def visit_indices(g, clustering: Clustering, visit: list[list[int]]) -> list[int]:
+    """The cluster index of each member list, after checking that the lists
+    hold every node once, each list in input order and within one cluster."""
+    assert sorted(i for members in visit for i in members) == list(range(len(g)))
+    indices = []
+    for members in visit:
+        assert members == sorted(members)
+        labels = {clustering.assignment[g.nodes[i]] for i in members}
+        assert len(labels) == 1
+        indices.append(labels.pop())
+    return indices
+
+
 def assert_same_clustering(fast: Clustering, oracle: Clustering) -> None:
     assert fast == oracle
     assert fast.q == oracle.q
@@ -199,9 +212,56 @@ def test_block_sums_and_visit_order_match_the_loops(family):
         )
         np.testing.assert_allclose(block_sums(g, labels, k), expected, rtol=0, atol=1e-12)
         clustering = Clustering(dict(zip(g.nodes, labels.tolist())), g=k, q=0.0)
-        assert cluster_visit_order(g, clustering) == cluster_visit_order_oracle(g, clustering)
         found = cluster_cnm(g)
-        assert cluster_visit_order(g, found) == cluster_visit_order_oracle(g, found)
+        for partition in (clustering, found):
+            visit = cluster_visit_order(g, partition)
+            assert visit_indices(g, partition, visit) == cluster_visit_order_oracle(g, partition)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_visit_order_weights_have_the_bits_of_block_sums(family):
+    """Clusters of up to a few hundred nodes: each member list's block, added
+    left to right in row-major order, has the bits of the diagonal of
+    ``block_sums``, and the visiting order is the oracle's and the one that
+    diagonal gives."""
+    rng = np.random.default_rng(FAMILIES.index(family) + 311)
+    for _ in range(4):
+        n = int(rng.integers(100, 401))
+        g = random_graph(rng, n, family)
+        k = int(rng.integers(1, 5))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        clustering = Clustering(dict(zip(g.nodes, labels.tolist())), g=k, q=0.0)
+        visit = cluster_visit_order(g, clustering)
+        indices = visit_indices(g, clustering, visit)
+        diagonal = np.diag(block_sums(g, labels, k))
+        internal = np.array([np.cumsum(g.weights[np.ix_(m, m)])[-1] for m in visit])
+        assert internal.tobytes() == diagonal[indices].tobytes()
+        sizes = np.bincount(labels, minlength=k)
+        assert indices == sorted(range(k), key=lambda c: (-sizes[c], -diagonal[c], c))
+        assert indices == cluster_visit_order_oracle(g, clustering)
+
+
+def test_visit_order_breaks_near_ties_as_block_sums_does():
+    """Two clusters of one size whose blocks hold the same weights in other
+    orders: their sums differ only by rounding, and the cluster visited first
+    is the one the diagonal of ``block_sums`` puts first, which a pairwise
+    sum (``np.sum``) gets wrong in about two of five cases."""
+    rng = np.random.default_rng(331)
+    for _ in range(40):
+        s = int(rng.integers(3, 40))
+        upper = np.triu_indices(s, 1)
+        weights = rng.uniform(size=len(upper[0]))
+        w = np.zeros((2 * s, 2 * s))
+        for block in (slice(0, s), slice(s, 2 * s)):
+            w[block, block][upper] = rng.permutation(weights)
+        order = rng.permutation(2 * s)
+        g = make_graph((w + w.T)[np.ix_(order, order)])
+        labels = (order >= s).astype(int)
+        clustering = Clustering(dict(zip(g.nodes, labels.tolist())), g=2, q=0.0)
+        diagonal = np.diag(block_sums(g, labels, 2))
+        visit = cluster_visit_order(g, clustering)
+        assert visit_indices(g, clustering, visit) == sorted(range(2), key=lambda c: (-diagonal[c], c))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -246,7 +246,9 @@ class TestCLexrank:
         clustering = Clustering(
             assignment={"n0": 0, "n1": 0, "n2": 1, "n3": 1, "n4": 2}, g=3, q=0.0
         )
-        assert cluster_visit_order(g, clustering) == [1, 0, 2]
+        visit = cluster_visit_order(g, clustering)
+        assert [clustering.assignment[g.nodes[m[0]]] for m in visit] == [1, 0, 2]
+        assert visit == [[2, 3], [0, 1], [4]]
 
 
 class TestCRR:
