@@ -28,7 +28,7 @@ from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
     DataError, RunConfig, ends_in_file_name, load_citation_set, load_factoid_annotation, load_idf_table,
-    load_nugget_spans, load_reference_summary, load_run_config, uniform_idf,
+    load_nugget_spans, load_reference_summary, load_run_config, load_stopwords, uniform_idf,
 )
 from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
@@ -124,7 +124,8 @@ class _Run:
         else:
             self.cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
         stopword_path = self.cfg.stopword_path
-        tokenizer = TokenizerConfig.from_run_config(self.cfg, self._read(stopword_path) if stopword_path else None)
+        stopwords = load_stopwords(stopword_path, self._read(stopword_path)) if stopword_path else frozenset()
+        tokenizer = TokenizerConfig(self.cfg.lowercase, self.cfg.strip_punctuation, stopwords)
         self.cs = load_citation_set(args.infile, self._read(args.infile))
         idf = load_idf_table(args.idf, self._read(args.idf)) if args.idf else uniform_idf()
         annotations = getattr(args, "annotations", None)
@@ -160,10 +161,15 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.scores_out and not method.yields_scores:
         ranking = sorted(name for name, m in SUMMARIZERS.items() if m.yields_scores)
         parser.error(f"--scores-out is only valid for {ranking}")
-
-    run = _Run(args, build_graph=method.reads_graph)
     out_dir = Path(args.out_dir)
     name = f"{Path(args.infile).stem}.{args.method}.{args.budget}"
+    if args.scores_out:  # a ranking method, so one trial: these are the run's other files
+        others = [args.infile, args.idf, args.config, args.stopword_path, args.annotations]
+        others += [out_dir / f"{name}{ext}" for ext in (".txt", ".json", ".report.tsv", ".manifest.json")]
+        if os.path.abspath(args.scores_out) in {os.path.abspath(p) for p in others if p}:
+            parser.error(f"--scores-out {args.scores_out!r} names another file of the run")
+
+    run = _Run(args, build_graph=method.reads_graph)
     trials = args.trials if args.trials is not None else 1
     outputs: dict[Path, str] = {}
     reports: list[EvalReport] = []

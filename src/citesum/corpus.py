@@ -177,9 +177,9 @@ class RunConfig:
 
     Defaults: LexRank edges need cosine above 0.10, damping 0.85; the
     reinforced walk uses lambda 0.90, alpha 0.25, length-prior beta 0.1.
-    ``lowercase``, ``strip_punctuation`` and ``stopword_path`` make up the
-    tokenizer (``TokenizerConfig.from_run_config``).  The budget, seed and
-    trial count are per-run CLI arguments, not config.
+    ``lowercase``, ``strip_punctuation`` and the words of ``stopword_path``
+    make up the graph build's ``lexical.TokenizerConfig``.  The budget, seed
+    and trial count are per-run CLI arguments, not config.
     """
 
     lexrank_damping: float = 0.85
@@ -212,7 +212,6 @@ _CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": Tr
 def load_run_config(path: str | Path, overrides: dict | None = None, data: bytes | None = None) -> RunConfig:
     """Parse a ``key = value`` config file; ``overrides`` (CLI flags) win."""
     values: dict = {}
-    fieldtypes = {f: RunConfig.__dataclass_fields__[f].type for f in RunConfig.__dataclass_fields__}
     for lineno, raw in enumerate(_read_lines(path, data), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -221,8 +220,10 @@ def load_run_config(path: str | Path, overrides: dict | None = None, data: bytes
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in fieldtypes:
+        if key not in RunConfig.__dataclass_fields__:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: config key {key!r} is set twice")
         values[key] = _coerce_config_value(key, value, path, lineno)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -236,13 +237,15 @@ def ends_in_file_name(path: str) -> bool:
 
 
 def _coerce_config_value(key: str, value: str, path, lineno: int):
-    annot = str(RunConfig.__dataclass_fields__[key].type)
-    if "str" in annot:  # the one string field, a path
+    """``value`` parsed by its field's declared type, one of ``"str | None"`` (a
+    path), ``"bool"`` and ``"float"``."""
+    kind = RunConfig.__dataclass_fields__[key].type
+    if kind == "str | None":
         if ends_in_file_name(value):
             return value
         raise ParseError(f"{path}:{lineno}: bad value {value!r} for {key}: it must end in a file name")
     try:
-        if "bool" in annot:
+        if kind == "bool":
             return _CONFIG_BOOLS[value.lower()]
         number = float(value)
     except (KeyError, ValueError):
@@ -253,12 +256,13 @@ def _coerce_config_value(key: str, value: str, path, lineno: int):
 
 
 def load_stopwords(path: str | Path, data: bytes | None = None) -> frozenset[str]:
-    """One stopword per line; blank lines and # comments ignored."""
+    """One stopword per line, as written; blank lines and # comments ignored.
+    ``lexical.TokenizerConfig`` folds each word as it folds a token."""
     words = set()
     for raw in _read_lines(path, data):
         w = raw.split("#", 1)[0].strip()
         if w:
-            words.add(w.lower())
+            words.add(w)
     return frozenset(words)
 
 

@@ -21,45 +21,47 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import IdfTable, RunConfig, load_stopwords
+from .corpus import IdfTable
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z\s]+")
 
 
 @dataclass(frozen=True)
 class TokenizerConfig:
+    """How text becomes terms.  Each stopword is folded as a token is, so a
+    listed word is dropped exactly when its own token would be: under the
+    default tokenizer ``The.`` drops ``the`` and ``it's`` drops ``its``."""
+
     lowercase: bool = True
     strip_punctuation: bool = True
     stopwords: frozenset[str] = frozenset()
 
-    @staticmethod
-    def from_run_config(cfg: RunConfig, data: bytes | None = None) -> "TokenizerConfig":
-        """The tokenizer a run's config names, reading its stopword file if any
-        (``data`` is that file's bytes if the caller has read them already)."""
-        stopwords: frozenset[str] = frozenset()
-        if cfg.stopword_path is not None:
-            stopwords = load_stopwords(cfg.stopword_path, data)
-        return TokenizerConfig(cfg.lowercase, cfg.strip_punctuation, stopwords)
+    def __post_init__(self):
+        object.__setattr__(self, "stopwords", frozenset(_fold(w, self) for w in self.stopwords))
+
+
+def _fold(text: str, cfg: TokenizerConfig) -> str:
+    """The term rule: lowercase (``cfg.lowercase``), then strip every character
+    that is not an ASCII letter, digit or whitespace (``cfg.strip_punctuation``)."""
+    if cfg.lowercase:
+        text = text.lower()
+    if cfg.strip_punctuation:
+        text = _NON_ALNUM.sub("", text)
+    return text
 
 
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Deterministic term list for a sentence; empty text gives an empty list.
 
-    The whole text is lowercased once (``cfg.lowercase``), stripped of all
-    but ASCII letters, digits and whitespace in one regex pass
-    (``cfg.strip_punctuation``), then split with ``str.split()``.  Regex
-    ``\\s`` and ``str.split()`` use the same whitespace test, so stripping
-    never joins two tokens: the terms are those of lowercasing and stripping
-    each whitespace token on its own, minus the tokens left empty.
-    (``str.lower`` maps a token the same inside the text as alone: its one
-    context rule, final sigma, does not look past whitespace.)  Stopwords
-    are dropped last.
+    The whole text is folded once (``_fold``: one lower, one regex pass),
+    then split with ``str.split()``.  Regex ``\\s`` and ``str.split()`` use
+    the same whitespace test, so stripping never joins two tokens: the terms
+    are those of folding each whitespace token on its own, minus the tokens
+    left empty.  (``str.lower`` maps a token the same inside the text as
+    alone: its one context rule, final sigma, does not look past
+    whitespace.)  Stopwords, folded alike, are dropped last.
     """
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.strip_punctuation:
-        text = _NON_ALNUM.sub("", text)
-    terms = text.split()
+    terms = _fold(text, cfg).split()
     if cfg.stopwords:
         terms = [t for t in terms if t not in cfg.stopwords]
     return terms

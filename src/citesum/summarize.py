@@ -81,11 +81,16 @@ def assemble_from_ordering(cs: CitationSet, order: Ordering, budget: int) -> Sum
 
     The sentence that crosses the budget is cut mid-sentence at the budget
     boundary; with budget 0 or an exhausted budget nothing more is added.
+    An ordering must list every sentence of ``cs`` and no other id.
     """
-    missing = set(cs.ids) - set(order.ids)
+    by_id = {s.id: s for s in cs.sentences}
+    listed = set(order.ids)
+    missing = by_id.keys() - listed
     if missing:
         raise ValueError(f"ordering does not cover sentence(s): {sorted(missing)}")
-    by_id = {s.id: s for s in cs.sentences}
+    unknown = listed - by_id.keys()
+    if unknown:
+        raise ValueError(f"ordering names sentence(s) not in the set: {sorted(unknown)}")
     entries: list[SummaryEntry] = []
     used = 0
     for sid in order.ids:

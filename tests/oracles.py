@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from citesum import rank
-from citesum.community import Clustering, _clustering_from_members, cluster_cnm
+from citesum.community import Clustering, cluster_cnm
 from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, ValidationError, _tsv_rows
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
@@ -97,7 +97,14 @@ def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
             best_q = q
             best_members = [list(parents[c]) for c in alive]
 
-    return _clustering_from_members(g, best_members, best_q)
+    # Cluster labels count up from the cluster of the smallest node index;
+    # each cluster's nodes go into the assignment in member order.
+    members_by_first = {min(m): m for m in best_members}
+    assignment: dict[str, int] = {}
+    for label, first in enumerate(sorted(members_by_first)):
+        for i in members_by_first[first]:
+            assignment[g.nodes[i]] = label
+    return Clustering(assignment=assignment, g=len(best_members), q=best_q)
 
 
 def average_shortest_path_oracle(g: SimilarityGraph, threshold: float = 0.10) -> PathStats:
@@ -288,13 +295,19 @@ def random_order_oracle(cs: CitationSet, seed: int) -> Ordering:
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
 
+def fold_token_oracle(raw: str, cfg: TokenizerConfig) -> str:
+    """One whitespace-free token's term under ``cfg``, stopwords not applied."""
+    term = raw.lower() if cfg.lowercase else raw
+    if cfg.strip_punctuation:
+        term = _NON_ALNUM.sub("", term)
+    return term
+
+
 def tokenize_oracle(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Deterministic term list for a sentence; empty text gives an empty list."""
     terms = []
     for raw in text.split():
-        term = raw.lower() if cfg.lowercase else raw
-        if cfg.strip_punctuation:
-            term = _NON_ALNUM.sub("", term)
+        term = fold_token_oracle(raw, cfg)
         if term and term not in cfg.stopwords:
             terms.append(term)
     return terms

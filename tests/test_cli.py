@@ -155,6 +155,18 @@ class TestSummarize:
         assert info["inputs"] == {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
         assert digested == [Path(name).read_bytes() for name in names]
 
+    def test_a_config_key_set_twice_is_a_data_error(self, paths, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("lexrank_damping = 0.5\nlexrank_damping = 0.7\n", encoding="utf-8")
+        code, out, err = run(
+            ["summarize", "--in", paths["citations"], "--config", str(config), "--method", "lexrank",
+             "--budget", "40", "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}:2: config key 'lexrank_damping' is set twice\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [".", "sub/", "stop.txt/"])
     def test_config_stopword_path_must_end_in_a_file_name(self, value, paths, tmp_path, capsys, monkeypatch):
         (tmp_path / "sub").mkdir()
@@ -332,6 +344,22 @@ class TestSummarize:
             main(["summarize", "--in", paths["citations"], "--method", "mmr",
                   "--budget", "100", "--out-dir", str(tmp_path),
                   "--scores-out", str(scores_path)])
+
+    @pytest.mark.parametrize("target", ["{out}/w05-0622.lexrank.30.txt", "{out}/w05-0622.lexrank.30.manifest.json",
+                                        "{out}/../out/w05-0622.lexrank.30.json", "{citations}"])
+    def test_scores_out_may_not_name_another_file_of_the_run(self, target, paths, tmp_path, capsys, monkeypatch):
+        citations = tmp_path / "w05-0622.jsonl"  # a copy: the run must not overwrite it, nor the fixture
+        citations.write_bytes(Path(paths["citations"]).read_bytes())
+        read = []
+        monkeypatch.setattr(cli._Run, "_read", lambda run, path: read.append(path))
+        out_dir = tmp_path / "out"
+        scores = target.format(out=out_dir, citations=citations)
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--in", str(citations), "--method", "lexrank", "--budget", "30",
+                  "--out-dir", str(out_dir), "--scores-out", scores])
+        assert exc.value.code == 2
+        assert f"--scores-out {scores!r} names another file of the run" in capsys.readouterr().err
+        assert (read, out_dir.exists()) == ([], False)
 
     @pytest.mark.parametrize("method", ["lexrank", "divrank", "divrank-prior"])
     def test_scores_out_reuses_the_summary_solve(self, method, paths, tmp_path, capsys, monkeypatch):
@@ -730,6 +758,15 @@ class TestTokenizerReachesGraph:
             changed = self.outputs(paths, tmp_path / name, capsys, *extra)
             assert changed["w05-0622.c-lexrank.60.txt"] != plain["w05-0622.c-lexrank.60.txt"], name
             assert changed["clusters.tsv"] != plain["clusters.tsv"], name
+
+    def test_stopwords_are_folded_like_tokens(self, paths, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("The.\nOF\n(and)\nit's\n", encoding="utf-8")
+        folded = tmp_path / "folded.txt"
+        folded.write_text("the\nof\nand\nits\n", encoding="utf-8")
+        written = self.outputs(paths, tmp_path / "raw", capsys, "--stopwords", str(raw))
+        assert written == self.outputs(paths, tmp_path / "folded", capsys, "--stopwords", str(folded))
+        assert written != self.outputs(paths, tmp_path / "plain", capsys)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -496,3 +497,17 @@ class TestRunConfig:
     def test_stopwords_loaded(self, tmp_path):
         sw = write(tmp_path, "stop.txt", "the\nand\n# comment\n\n")
         assert load_stopwords(sw) == frozenset({"the", "and"})
+
+    def test_stopwords_loaded_as_written(self, tmp_path):
+        # The loader only parses; lexical.TokenizerConfig folds each word as a token.
+        sw = write(tmp_path, "stop.txt", "the\nAnd\n  It's  # comment\n# comment\n\n")
+        assert load_stopwords(sw) == frozenset({"the", "And", "It's"})
+
+    def test_every_field_has_a_type_the_config_parser_reads(self):
+        # _coerce_config_value picks its parser by these declared types exactly.
+        assert {f.type for f in fields(RunConfig)} == {"float", "bool", "str | None"}
+
+    def test_a_repeated_key_names_the_file_line_and_key(self, tmp_path):
+        path = write(tmp_path, "run.cfg", "lexrank_damping = 0.5\n# again\nlexrank_damping = 0.7\n")
+        with pytest.raises(ParseError, match=r"run.cfg:3: config key 'lexrank_damping' is set twice"):
+            load_run_config(path)

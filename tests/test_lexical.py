@@ -7,7 +7,7 @@ import string
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cosine_similarity, tokenize_oracle
+from oracles import cosine_similarity, fold_token_oracle, tokenize_oracle
 
 from citesum.corpus import IdfTable, uniform_idf
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector, tokenize
@@ -37,6 +37,15 @@ class TestTokenize:
     def test_no_lowercase_option(self):
         cfg = TokenizerConfig(lowercase=False)
         assert tokenize("Tree CRF", cfg) == ["Tree", "CRF"]
+
+    def test_stopwords_are_folded_like_tokens(self):
+        cfg = TokenizerConfig(stopwords=frozenset({"The.", "it's", "DON'T"}))
+        assert cfg.stopwords == frozenset({"the", "its", "dont"})
+        assert tokenize("The cat: it's here, don't go.", cfg) == ["cat", "here", "go"]
+        keep_case = TokenizerConfig(lowercase=False, stopwords=frozenset({"The"}))
+        assert tokenize("The the THE", keep_case) == ["the", "THE"]
+        keep_marks = TokenizerConfig(strip_punctuation=False, stopwords=frozenset({"It's"}))
+        assert tokenize("it's its", keep_marks) == ["its"]
 
     def test_deterministic(self):
         text = "Some researchers used a pipelined approach; others did not."
@@ -68,6 +77,40 @@ TOKENIZER_CONFIGS = [
 def test_property_tokenize_matches_per_token_oracle(text):
     for cfg in TOKENIZER_CONFIGS:
         assert tokenize(text, cfg) == tokenize_oracle(text, cfg)
+
+
+WORD_CHARS = [c for c in TOKENIZER_ALPHABET if not c.isspace()]
+
+
+@st.composite
+def stopword_cases(draw):
+    """Whitespace-free raw stopwords, and a text made of them (as written or
+    case-swapped) and of random pieces, joined by whitespace."""
+    words = draw(st.lists(st.text(st.sampled_from(WORD_CHARS), min_size=1, max_size=6), min_size=1, max_size=6))
+    pieces = draw(st.lists(
+        st.one_of(
+            st.sampled_from(words),
+            st.sampled_from(words).map(str.swapcase),
+            st.text(st.sampled_from(TOKENIZER_ALPHABET), max_size=8),
+        ),
+        max_size=12,
+    ))
+    separator = st.sampled_from([" ", "\t", "\u3000", "\x1c"])
+    return words, "".join(p + draw(separator) for p in pieces)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(stopword_cases())
+def test_property_stopwords_are_folded_like_tokens(case):
+    words, text = case
+    for lowercase, strip in itertools.product((True, False), repeat=2):
+        plain = TokenizerConfig(lowercase, strip)
+        cfg = TokenizerConfig(lowercase, strip, frozenset(words))
+        # The expected terms come from the oracle's own fold, never from cfg.stopwords.
+        dropped = {fold_token_oracle(w, plain) for w in words}
+        assert tokenize(text, cfg) == [t for t in tokenize_oracle(text, plain) if t not in dropped]
+        for w in words:
+            assert tokenize(w, cfg) == [], (w, lowercase, strip)
 
 
 def test_tokenize_matches_oracle_on_context_sensitive_text():

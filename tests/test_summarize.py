@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestAssemble:
         cs = toy_citation_set(["a", "b"])
         with pytest.raises(ValueError, match="cover"):
             assemble_from_ordering(cs, Ordering(("s1",), "manual"), 10)
+
+    @pytest.mark.parametrize("ids", [("s1", "s2", "zzz"), ("zzz", "s1", "s2"), ("yy", "s1", "s2", "zzz")])
+    def test_unknown_ids_rejected(self, ids):
+        cs = toy_citation_set(["a", "b"])
+        unknown = sorted(set(ids) - {"s1", "s2"})
+        with pytest.raises(ValueError, match=re.escape(f"ordering names sentence(s) not in the set: {unknown}")):
+            assemble_from_ordering(cs, Ordering(ids, "manual"), 10)
 
     def test_json_round_trip(self, tmp_path):
         cs = toy_citation_set(["first sentence here", "second one"])
