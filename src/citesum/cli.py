@@ -28,7 +28,7 @@ from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
     DataError, RunConfig, ends_in_file_name, load_citation_set, load_factoid_annotation, load_idf_table,
-    load_nugget_spans, load_reference_summary, load_run_config, load_stopwords, uniform_idf,
+    load_nugget_spans, load_reference_summary, load_run_config, load_stopwords, plain_sum, uniform_idf,
 )
 from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
@@ -99,6 +99,34 @@ def _write_files(files: dict[Path, str]) -> None:
         _write_atomic(path, text)
 
 
+# The dests of every flag that names a file a subcommand reads.
+_INPUT_DESTS = (
+    "infile", "idf", "config", "stopword_path", "annotations",
+    "summary", "citations", "candidate", "references", "spans_a", "spans_b",
+)
+
+
+def _refuse_overwrites(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, outputs: list[tuple[str, str | Path]]
+) -> None:
+    """A usage error (exit 2) if one of ``outputs``, ``(flag, path)`` pairs in
+    write order, names an input flag's file or an earlier output.
+
+    Paths are compared by ``os.path.abspath``, as strings: no filesystem
+    call, since a pyramid job passes a hundred summaries.  A subcommand
+    calls this before it reads anything.
+    """
+    taken = set()
+    for dest in _INPUT_DESTS:
+        value = getattr(args, dest, None)
+        taken.update(os.path.abspath(p) for p in (value if isinstance(value, list) else [value]) if p)
+    for flag, path in outputs:
+        key = os.path.abspath(path)
+        if key in taken:
+            parser.error(f"{flag} {str(path)!r} names another file of the run")
+        taken.add(key)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -163,11 +191,10 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--scores-out is only valid for {ranking}")
     out_dir = Path(args.out_dir)
     name = f"{Path(args.infile).stem}.{args.method}.{args.budget}"
-    if args.scores_out:  # a ranking method, so one trial: these are the run's other files
-        others = [args.infile, args.idf, args.config, args.stopword_path, args.annotations]
-        others += [out_dir / f"{name}{ext}" for ext in (".txt", ".json", ".report.tsv", ".manifest.json")]
-        if os.path.abspath(args.scores_out) in {os.path.abspath(p) for p in others if p}:
-            parser.error(f"--scores-out {args.scores_out!r} names another file of the run")
+    if args.scores_out:  # a ranking method, so one trial: these are the run's other outputs
+        exts = (".txt", ".json", ".report.tsv", ".manifest.json")
+        others = [("--out-dir", out_dir / f"{name}{ext}") for ext in exts]
+        _refuse_overwrites(args, parser, [*others, ("--scores-out", args.scores_out)])
 
     run = _Run(args, build_graph=method.reads_graph)
     trials = args.trials if args.trials is not None else 1
@@ -192,10 +219,8 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     run.mark("summarize")
 
     if reports:
-        total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
-        for r in reports:
-            total += r.pyramid_score
-        tsv = report_to_tsv(reports) + f"# mean_pyramid={total / len(reports):.6f}\n"
+        mean = plain_sum(r.pyramid_score for r in reports) / len(reports)
+        tsv = report_to_tsv(reports) + f"# mean_pyramid={mean:.6f}\n"
         outputs[out_dir / f"{name}.report.tsv"] = tsv
     if args.scores_out:  # a ranking method, so a single trial with scores
         outputs[Path(args.scores_out)] = scores_to_tsv(ranking)
@@ -225,6 +250,8 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    tsv_path, json_path = Path(f"{args.out}.tsv"), Path(f"{args.out}.json")
+    _refuse_overwrites(args, parser, [("--out", tsv_path), ("--out", json_path)])
     if args.metric == "pyramid":
         if not (args.summary and args.citations and args.annotations):
             parser.error("--metric pyramid requires --summary, --citations, --annotations")
@@ -262,8 +289,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         tsv = "pair\t" + "\t".join(payload) + "\n"
         tsv += f"{ann_a.annotator} vs {ann_b.annotator}\t" + "\t".join(f"{k:.6f}" for k in payload.values()) + "\n"
         payload["chance_model"] = args.chance_model
-    tsv_path = Path(f"{args.out}.tsv")
-    _write_files({tsv_path: tsv, Path(f"{args.out}.json"): json.dumps(payload, indent=2) + "\n"})
+    _write_files({tsv_path: tsv, json_path: json.dumps(payload, indent=2) + "\n"})
     print(tsv_path)
     return 0
 
@@ -277,6 +303,7 @@ def _single_annotator(annotations: dict, path) -> "object":
 
 
 def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _refuse_overwrites(args, parser, [("--dot", args.dot)] if args.dot else [])
     run = _Run(args)
     graph, threshold = run.graph, run.cfg.lexrank_edge_threshold
     coefficient = clustering_coefficient(graph, threshold)
@@ -303,6 +330,7 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _refuse_overwrites(args, parser, [("--out", args.out)])
     graph = _Run(args).graph
     _write_files({Path(args.out): clustering_to_tsv(cluster_cnm(graph), graph.nodes)})
     print(args.out)

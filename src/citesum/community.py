@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import plain_sum
 from .graph import SimilarityGraph
 
 
@@ -226,17 +227,14 @@ def nmi(clustering: Clustering, classes: dict[str, str]) -> float:
         class_sizes[cj] = class_sizes.get(cj, 0) + 1
         joint[(ck, cj)] = joint.get((ck, cj), 0) + 1
 
-    h_clusters = h_classes = 0.0  # plain left-to-right adds: sum() compensates since 3.12
-    for s in cluster_sizes.values():
-        h_clusters -= s / n * math.log(s / n)
-    for s in class_sizes.values():
-        h_classes -= s / n * math.log(s / n)
+    h_clusters = plain_sum(-(s / n * math.log(s / n)) for s in cluster_sizes.values())
+    h_classes = plain_sum(-(s / n * math.log(s / n)) for s in class_sizes.values())
     if h_clusters == 0.0 and h_classes == 0.0:
         return 1.0
-    mutual = 0.0
-    for (ck, cj), count in joint.items():
-        # 0 log 0 := 0; counts here are always positive.
-        mutual += count / n * math.log(n * count / (cluster_sizes[ck] * class_sizes[cj]))
+    # 0 log 0 := 0; counts here are always positive.
+    mutual = plain_sum(
+        count / n * math.log(n * count / (cluster_sizes[ck] * class_sizes[cj])) for (ck, cj), count in joint.items()
+    )
     return min(1.0, max(0.0, mutual / ((h_clusters + h_classes) / 2.0)))
 
 

@@ -8,9 +8,9 @@ not UTF-8; the loaders of a run's inputs also take the file's bytes as
         {"id": str, "text": str, "source_doc": str}
     Line order is significant and preserved.
   - factoid annotation: TSV rows ``sentence_id<TAB>factoid_id`` (one row per pair).
-  - nugget spans: TSV rows ``annotator<TAB>sentence_id<TAB>start<TAB>end`` where
-    start/end are byte offsets into the UTF-8 encoding of the sentence text and
-    must fall on codepoint boundaries.
+  - nugget spans: TSV rows ``annotator<TAB>sentence_id<TAB>start<TAB>end``; the
+    annotator is not blank, and start/end are byte offsets into the UTF-8
+    encoding of the sentence text that fall on codepoint boundaries.
   - IDF table: TSV rows ``term<TAB>idf``, one per term, each idf finite and non-negative.
   - reference summary: plain text, one summary per file.
   - run configuration: ``key = value`` lines naming RunConfig fields.
@@ -30,6 +30,11 @@ Loaders only parse and validate: they keep each sentence's raw text and
 never tokenize it, since terms feed only the similarity graph, which
 tokenizes as it builds (``citesum.graph``).  Loaders are pure given the file bytes; everything they
 return is immutable after construction and safe to share across threads.
+
+``plain_sum`` is the package's one sum of Python floats that reach an
+output (the mean pyramid, the length prior's total, the jackknife mean,
+NMI's entropies and mutual information, a term vector's norm).  It lives
+here because every module imports ``corpus``.
 """
 
 from __future__ import annotations
@@ -38,8 +43,22 @@ import codecs
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``, one IEEE add each.
+
+    Not ``sum()``, which compensates its float additions since Python 3.12,
+    so an output's bits would depend on the Python version; nor
+    ``math.fsum``, whose exactly rounded total would change recorded outputs.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class DataError(ValueError):
@@ -162,9 +181,6 @@ class IdfTable:
                 f"default idf must be finite and non-negative: {self.default_idf!r}"
             )
 
-    def idf(self, term: str) -> float:
-        return self.values.get(term, self.default_idf)
-
 
 def uniform_idf() -> IdfTable:
     """Neutral table: every term weighs 1.0, reducing TF-IDF to raw TF."""
@@ -257,10 +273,13 @@ def _coerce_config_value(key: str, value: str, path, lineno: int):
 
 def load_stopwords(path: str | Path, data: bytes | None = None) -> frozenset[str]:
     """One stopword per line, as written; blank lines and # comments ignored.
-    ``lexical.TokenizerConfig`` folds each word as it folds a token."""
+    ``lexical.TokenizerConfig`` folds each word as it folds a token, so a line
+    that still holds whitespace could match no token: a ParseError naming it."""
     words = set()
-    for raw in _read_lines(path, data):
+    for lineno, raw in enumerate(_read_lines(path, data), start=1):
         w = raw.split("#", 1)[0].strip()
+        if len(w.split()) > 1:
+            raise ParseError(f"{path}:{lineno}: a stopword line holds one word, got {w!r}")
         if w:
             words.add(w)
     return frozenset(words)
@@ -384,6 +403,7 @@ def load_factoid_annotation(path: str | Path, cs: CitationSet, data: bytes | Non
 def load_nugget_spans(path: str | Path, cs: CitationSet) -> dict[str, NuggetSpanAnnotation]:
     """Load ``annotator<TAB>sentence_id<TAB>start<TAB>end`` rows, one annotation per annotator.
 
+    An empty or blank annotator cell is a ParseError naming the line.
     Offsets are validated against the UTF-8 byte length of the sentence text
     and must fall on codepoint boundaries; overlapping spans from one
     annotator are merged.
@@ -392,6 +412,8 @@ def load_nugget_spans(path: str | Path, cs: CitationSet) -> dict[str, NuggetSpan
     per_annotator: dict[str, dict[str, list[tuple[int, int]]]] = {}
     for lineno, cells in _tsv_rows(path, ("annotator", "sentence_id", "start", "end")):
         annotator, sid, start_s, end_s = (c.strip() for c in cells)
+        if not annotator:
+            raise ParseError(f"{path}:{lineno}: empty annotator")
         if sid not in text_bytes:
             raise ValidationError(f"{path}:{lineno}: unknown sentence id {sid!r}")
         try:

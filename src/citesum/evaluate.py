@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .corpus import CitationSet, DataError, FactoidAnnotation, NuggetSpanAnnotation
+from .corpus import CitationSet, DataError, FactoidAnnotation, NuggetSpanAnnotation, plain_sum
 from .summarize import Summary
 
 
@@ -218,10 +218,8 @@ def rouge_n(
     if len(references) < 2:
         raise DataError("jackknifing requires at least two references")
     recalls = [m / t if t else 0.0 for m, t in zip(matches, totals)]
-    total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
-    for held_out in range(len(recalls)):
-        total += max(r for i, r in enumerate(recalls) if i != held_out)
-    return total / len(recalls)
+    holdouts = (max(r for i, r in enumerate(recalls) if i != held_out) for held_out in range(len(recalls)))
+    return plain_sum(holdouts) / len(recalls)
 
 
 def report_to_tsv(reports: list[EvalReport]) -> str:

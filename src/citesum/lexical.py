@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import IdfTable
+from .corpus import IdfTable, plain_sum
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z\s]+")
 
@@ -72,9 +72,7 @@ class TermVector:
     """Sparse non-negative term weights with a cached L2 norm.
 
     Zero-weight entries are never stored, so the cached norm stays consistent
-    with the weights map.  The squares are added left to right with plain
-    float adds, not ``sum()``, which compensates its additions since Python
-    3.12: the norm has the same bits on every supported Python.
+    with the weights map.  The squares are added by ``corpus.plain_sum``.
     """
 
     weights: dict[str, float]
@@ -83,10 +81,7 @@ class TermVector:
     @staticmethod
     def from_weights(weights: dict[str, float]) -> "TermVector":
         nonzero = {t: w for t, w in weights.items() if w != 0.0}
-        squares = 0.0
-        for w in nonzero.values():
-            squares += w * w
-        return TermVector(nonzero, math.sqrt(squares))
+        return TermVector(nonzero, math.sqrt(plain_sum(w * w for w in nonzero.values())))
 
 
 def tfidf_vector(tokens: list[str] | tuple[str, ...], idf: IdfTable) -> TermVector:

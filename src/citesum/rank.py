@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CitationSet, ValidationError
+from .corpus import CitationSet, ValidationError, plain_sum
 from .graph import SimilarityGraph
 
 MAX_ITERATIONS = 10_000
@@ -346,9 +346,7 @@ def divrank_prior_from_length(cs: CitationSet, beta: float = 0.1) -> dict[str, f
     """
     try:
         raw = {s.id: max(s.word_count, 1) ** (-beta) for s in cs.sentences}
-        total = 0.0  # plain left-to-right adds: sum() compensates since Python 3.12
-        for v in raw.values():
-            total += v
+        total = plain_sum(raw.values())
     except OverflowError:
         total = math.inf
     if not 0.0 < total < math.inf:

@@ -36,7 +36,7 @@ from citesum.community import Clustering, cluster_cnm
 from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, ValidationError, _tsv_rows
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
-from citesum.rank import Ordering, RankScores, _divrank_base_transitions, _transition_matrix, lexrank
+from citesum.rank import Ordering, RankScores, lexrank
 from citesum.summarize import Summary, assemble_from_ordering
 
 
@@ -195,12 +195,24 @@ def divrank_base_transitions_oracle(g: SimilarityGraph, alpha: float) -> np.ndar
     return p0
 
 
+def _ranking_oracle(g: SimilarityGraph, p: np.ndarray, method: str, iterations: int, residual: float) -> RankScores:
+    """Node ids by descending score, ties in node order; converged iff the walk
+    stopped before ``MAX_ITERATIONS`` or its last step is below
+    ``RESIDUAL_TOLERANCE``, both read from ``citesum.rank`` at call time."""
+    values = [float(v) for v in p]
+    order = sorted(range(len(g)), key=lambda i: (-values[i], i))
+    converged = iterations < rank.MAX_ITERATIONS or residual < rank.RESIDUAL_TOLERANCE
+    ids = tuple(g.nodes[i] for i in order)
+    return RankScores(ids, method, dict(zip(g.nodes, values)), iterations, residual, converged)
+
+
 def lexrank_oracle(
     g: SimilarityGraph,
     threshold: float = 0.10,
     damping: float = 0.85,
 ) -> RankScores:
-    """The LexRank walk with one ``t.T @ p`` and new vectors on every iteration.
+    """The LexRank walk with one ``t.T @ p`` and new vectors on every iteration,
+    over ``transition_matrix_oracle``'s transitions, ranked by ``_ranking_oracle``.
 
     Reads ``MAX_ITERATIONS`` and ``RESIDUAL_TOLERANCE`` from ``citesum.rank``
     at call time, as ``divrank_oracle`` does.
@@ -208,7 +220,7 @@ def lexrank_oracle(
     n = len(g)
     if n == 0:
         raise ValueError("cannot rank an empty graph")
-    t = _transition_matrix(g.binarize(threshold))
+    t = transition_matrix_oracle(g.binarize(threshold))
     p = np.full(n, 1.0 / n)
     jump = (1.0 - damping) / n
     residual = 0.0
@@ -220,7 +232,7 @@ def lexrank_oracle(
         if residual < rank.RESIDUAL_TOLERANCE:
             break
     p /= p.sum()
-    return rank._ranking(g, p, "lexrank", iterations, residual)
+    return _ranking_oracle(g, p, "lexrank", iterations, residual)
 
 
 def divrank_oracle(
@@ -229,7 +241,8 @@ def divrank_oracle(
     alpha: float = 0.25,
     prior: dict[str, float] | None = None,
 ) -> RankScores:
-    """The DivRank walk with the masked reinforced product on every iteration.
+    """The DivRank walk with the masked reinforced product on every iteration,
+    over ``divrank_base_transitions_oracle``'s transitions, ranked by ``_ranking_oracle``.
 
     Reads ``MAX_ITERATIONS`` and ``RESIDUAL_TOLERANCE`` from ``citesum.rank``
     at call time, so a test that patches them patches both solvers.
@@ -243,7 +256,7 @@ def divrank_oracle(
             raise ValueError("prior must be non-negative and not all zero")
         p_star = p_star / p_star.sum()
 
-    p0 = _divrank_base_transitions(g, alpha)
+    p0 = divrank_base_transitions_oracle(g, alpha)
     p = np.full(n, 1.0 / n)
     residual = 0.0
     iterations = 0
@@ -260,7 +273,7 @@ def divrank_oracle(
         p = p_next
         if residual < rank.RESIDUAL_TOLERANCE:
             break
-    return rank._ranking(g, p, "divrank" if prior is None else "divrank-prior", iterations, residual)
+    return _ranking_oracle(g, p, "divrank" if prior is None else "divrank-prior", iterations, residual)
 
 
 def mmr_order_oracle(g: SimilarityGraph) -> Ordering:

@@ -924,6 +924,67 @@ def test_a_path_flag_must_name_a_file(command, flag, value, tmp_path, capsys, mo
     assert list(tmp_path.rglob("*")) == [tmp_path / "sub"]
 
 
+# Runs whose output would replace one of their own files: the flag blamed,
+# the path it names, and the arguments.  In the files, c.jsonl is a citation
+# set, idf.tsv an IDF table, f.tsv a factoid annotation and c.lexrank.30.json
+# a summary; all four are copies the run must leave as they are.
+OVERWRITES = {
+    "cluster-out-is-in": ("--out", "c.jsonl", ["cluster", "--in", "c.jsonl", "--out", "c.jsonl"]),
+    "cluster-out-is-idf": ("--out", "./idf.tsv", ["cluster", "--in", "c.jsonl", "--idf", "idf.tsv",
+                                                  "--out", "./idf.tsv"]),
+    "dot-is-idf": ("--dot", "idf.tsv", ["graph-stats", "--in", "c.jsonl", "--idf", "idf.tsv", "--dot", "idf.tsv"]),
+    "dot-is-stopwords": ("--dot", "sub/../f.tsv", ["graph-stats", "--in", "c.jsonl", "--stopwords", "f.tsv",
+                                                   "--dot", "sub/../f.tsv"]),
+    "evaluate-json-is-a-summary": (
+        "--out", "c.lexrank.30.json",
+        ["evaluate", "--metric", "pyramid", "--summary", "c.lexrank.30.json", "--citations", "c.jsonl",
+         "--annotations", "f.tsv", "--out", "c.lexrank.30"],
+    ),
+    "evaluate-tsv-is-annotations": (
+        "--out", "f.tsv",
+        ["evaluate", "--metric", "pyramid", "--summary", "c.lexrank.30.json", "--citations", "c.jsonl",
+         "--annotations", "f.tsv", "--out", "f"],
+    ),
+    "evaluate-tsv-is-a-reference": (
+        "--out", "idf.tsv", ["evaluate", "--metric", "rouge", "--candidate", "f.tsv", "--references", "c.jsonl",
+                             "idf.tsv", "--out", "idf"],
+    ),
+    "scores-out-is-stopwords": (
+        "--scores-out", "sub/../f.tsv",
+        ["summarize", "--in", "c.jsonl", "--stopwords", "f.tsv", "--method", "divrank", "--budget", "30",
+         "--scores-out", "sub/../f.tsv"],
+    ),
+    "scores-out-is-the-manifest": (
+        "--scores-out", "c.lexrank.30.manifest.json",
+        ["summarize", "--in", "c.jsonl", "--method", "lexrank", "--budget", "30",
+         "--scores-out", "c.lexrank.30.manifest.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("flag, path, argv", list(OVERWRITES.values()), ids=list(OVERWRITES))
+def test_no_output_may_name_another_file_of_the_run(flag, path, argv, paths, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    files = {
+        "c.jsonl": Path(paths["citations"]).read_bytes(),
+        "idf.tsv": Path(paths["idf"]).read_bytes(),
+        "f.tsv": Path(paths["factoids"]).read_bytes(),
+        "c.lexrank.30.json": b"{}\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    read = []
+    monkeypatch.setattr(Path, "read_bytes", lambda p: read.append(p))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    monkeypatch.undo()
+    assert exc.value.code == 2
+    assert f"{flag} {path!r} names another file of the run" in capsys.readouterr().err
+    assert read == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == files
+
+
 def captured_parse(parser, argv, capsys):
     """What parsing ``argv`` printed and how it ended: the namespace, or the exit code."""
     try:
@@ -938,6 +999,13 @@ def subparsers_of(parser) -> dict:
     """Subcommand name -> subparser."""
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return subparsers.choices
+
+
+def test_every_path_flag_is_an_input_or_an_output():
+    # An input flag missing from _INPUT_DESTS would escape the overwrite rule.
+    for sub in subparsers_of(cli.build_parser()).values():
+        dests = {a.dest for a in sub._actions if a.type is cli._file_path}
+        assert dests - {"out", "dot", "scores_out"} <= set(cli._INPUT_DESTS)
 
 
 def argparse_formatted_parser():

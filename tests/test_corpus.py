@@ -1,6 +1,7 @@
 """Loader behavior: formats, validation, round trips."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import fields
 from unittest import mock
@@ -24,6 +25,7 @@ from citesum.corpus import (
     load_stopwords,
     RunConfig,
 )
+from citesum.lexical import tfidf_vector
 
 
 def write(tmp_path, name, text):
@@ -156,15 +158,38 @@ class TestFactoidAnnotation:
             load_factoid_annotation(path, nine_citations)
 
 
+def plain_loop(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestPlainSum:
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_equals_a_loop_from_zero_bit_for_bit(self, values):
+        assert corpus.plain_sum(values).hex() == plain_loop(values).hex()
+        assert corpus.plain_sum(iter(values)).hex() == plain_loop(values).hex()
+
+    def test_adds_left_to_right(self):
+        # Compensated summation (sum() since Python 3.12, math.fsum) keeps both ones.
+        assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+        assert corpus.plain_sum([1e16, 1.0, 1.0]) == 1e16
+
+    def test_empty_is_positive_zero(self):
+        assert corpus.plain_sum([]).hex() == "0x0.0p+0"
+        assert corpus.plain_sum([-0.0]).hex() == "0x0.0p+0"
+
+
 class TestIdfTable:
     def test_read_back(self, tmp_path):
         path = write(tmp_path, "idf.tsv", "the\t0.01\nparsing\t4.2\n")
-        table = load_idf_table(path)
-        assert table.idf("parsing") == 4.2
+        assert load_idf_table(path).values == {"the": 0.01, "parsing": 4.2}
 
     def test_unseen_term_gets_max_observed(self, tmp_path):
         path = write(tmp_path, "idf.tsv", "the\t0.01\nparsing\t4.2\n")
-        assert load_idf_table(path).idf("zyzzyva") == 4.2
+        assert tfidf_vector(["zyzzyva"], load_idf_table(path)).weights == {"zyzzyva": 4.2}
 
     def test_negative_idf_rejected(self, tmp_path):
         path = write(tmp_path, "idf.tsv", "w\t-1.0\n")
@@ -442,6 +467,12 @@ class TestNuggetSpans:
         ok = write(tmp_path, "ok.tsv", "ann1\ts1\t0\t5\n")
         assert load_nugget_spans(ok, cs)["ann1"].spans_of("s1") == ((0, 5),)
 
+    @pytest.mark.parametrize("annotator", ["", "  "])
+    def test_a_row_without_an_annotator_names_the_line(self, tmp_path, nine_citations, annotator):
+        path = write(tmp_path, "spans.tsv", f"# spans\nann1\ts1\t0\t5\n{annotator}\ts1\t0\t5\n")
+        with pytest.raises(ParseError, match=r"spans.tsv:3: empty annotator"):
+            load_nugget_spans(path, nine_citations)
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -502,6 +533,17 @@ class TestRunConfig:
         # The loader only parses; lexical.TokenizerConfig folds each word as a token.
         sw = write(tmp_path, "stop.txt", "the\nAnd\n  It's  # comment\n# comment\n\n")
         assert load_stopwords(sw) == frozenset({"the", "And", "It's"})
+
+    @pytest.mark.parametrize("line", ["of the", "  of\tthe  # two words", "a\u00a0b"])
+    def test_a_stopword_line_holds_one_word(self, tmp_path, line):
+        sw = write(tmp_path, "stop.txt", f"the\n# comment\n{line}\n--\n")
+        with pytest.raises(ParseError, match=r"stop.txt:3: a stopword line holds one word"):
+            load_stopwords(sw)
+
+    def test_a_punctuation_stopword_is_kept(self, tmp_path):
+        # Under strip_punctuation = false "--" is a token like any other.
+        sw = write(tmp_path, "stop.txt", "--\n")
+        assert load_stopwords(sw) == frozenset({"--"})
 
     def test_every_field_has_a_type_the_config_parser_reads(self):
         # _coerce_config_value picks its parser by these declared types exactly.

@@ -19,6 +19,7 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from conftest import make_graph, toy_citation_set
 from hypothesis import given, settings
@@ -356,6 +357,7 @@ def assert_same_divrank(g, **kwargs) -> np.ndarray:
     assert np.array_equal(scores, np.array(list(oracle.scores.values())))
     assert fast.iterations == oracle.iterations
     assert fast.residual == oracle.residual
+    assert (fast.ids, fast.converged) == (oracle.ids, oracle.converged)
     assert fast.method == oracle.method
     return scores
 
@@ -414,7 +416,7 @@ def assert_same_lexrank(g, threshold: float, damping: float) -> None:
     assert np.array_equal(np.array(list(fast.scores.values())), np.array(list(oracle.scores.values())))
     assert fast.iterations == oracle.iterations
     assert fast.residual == oracle.residual
-    assert fast.ids == oracle.ids
+    assert (fast.ids, fast.converged) == (oracle.ids, oracle.converged)
     assert fast.method == oracle.method
 
 
@@ -431,6 +433,31 @@ def test_lexrank_matches_oracle(family, isolated_share):
 def test_lexrank_matches_oracle_on_fixture(nine_citations, nine_idf):
     g = build_citation_summary_network(nine_citations, nine_idf)
     assert_same_lexrank(g, 0.10, 0.85)
+
+
+@pytest.mark.parametrize("max_iterations", [1, 3])
+def test_capped_walks_match_oracle(max_iterations, monkeypatch, nine_citations, nine_idf):
+    monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
+    g = build_citation_summary_network(nine_citations, nine_idf)
+    assert_same_lexrank(g, 0.10, 0.85)
+    assert_same_divrank(g)
+    assert not lexrank_oracle(g).converged and not divrank_oracle(g).converged
+
+
+def test_walk_oracles_use_none_of_the_walk_helpers(monkeypatch, nine_citations, nine_idf):
+    # A tie-order, convergence or transition bug in these helpers would
+    # otherwise reach both sides of every walk comparison.
+    g = build_citation_summary_network(nine_citations, nine_idf)
+    prior = divrank_prior_from_length(nine_citations)
+    expected = lexrank_oracle(g), divrank_oracle(g), divrank_oracle(g, prior=prior)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a walk oracle called the package's helper")
+
+    for name in ("_ranking", "_transition_matrix", "_divrank_base_transitions"):
+        monkeypatch.setattr(rank, name, broken)
+        monkeypatch.setattr(oracles, name, broken, raising=False)
+    assert (lexrank_oracle(g), divrank_oracle(g), divrank_oracle(g, prior=prior)) == expected
 
 
 # Over several blocks of rows, a walk adds its product block by block, so the
