@@ -8,6 +8,14 @@ metadata, not an artifact.  Output files are written atomically: each goes
 to a temporary file in its directory, renamed over the target once complete,
 and ends with the permissions the umask gives a new file (0o644 under umask
 0o022).
+
+Every run first makes its plan (``plan.make_plan``): each file it will
+read, in read order, and each file it will write, in write order.  Only
+``--config`` is read to make it, since a config's ``stopword_path`` names
+another input.  No output may be a file the run reads or another of its
+outputs; a plan that breaks this is a usage error before anything else is
+read.  The run then reads its inputs and writes its outputs through the
+plan alone, and ``summarize``'s manifest digests the plan's inputs.
 """
 
 from __future__ import annotations
@@ -20,19 +28,20 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .community import cluster_cnm, clustering_to_tsv, modularity
 from .corpus import (
-    DataError, RunConfig, ends_in_file_name, load_citation_set, load_factoid_annotation, load_idf_table,
-    load_nugget_spans, load_reference_summary, load_run_config, load_stopwords, plain_sum, uniform_idf,
+    DataError, ends_in_file_name, load_citation_set, load_factoid_annotation, load_idf_table, load_nugget_spans,
+    load_reference_summary, load_stopwords, plain_sum, uniform_idf,
 )
 from .evaluate import EvalReport, build_pyramid, ngram_kappa, pyramid_score, report_to_tsv, rouge_n
 from .graph import average_shortest_path, build_citation_summary_network, clustering_coefficient, to_dot
 from .lexical import TokenizerConfig
+from .plan import METRIC_INPUTS, make_plan, paths_of, refuse_overwrites
 from .rank import divrank, divrank_prior_from_length, lexrank, mmr_order, random_order, scores_to_tsv
 from .summarize import assemble_from_ordering, c_lexrank_order, c_rr_order, summary_from_json
 # Not called here: bench/tracing.py patches these two by name in this module.
@@ -99,75 +108,60 @@ def _write_files(files: dict[Path, str]) -> None:
         _write_atomic(path, text)
 
 
-# The dests of every flag that names a file a subcommand reads.
-_INPUT_DESTS = (
-    "infile", "idf", "config", "stopword_path", "annotations",
-    "summary", "citations", "candidate", "references", "spans_a", "spans_b",
-)
-
-
-def _refuse_overwrites(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, outputs: list[tuple[str, str | Path]]
-) -> None:
-    """A usage error (exit 2) if one of ``outputs``, ``(flag, path)`` pairs in
-    write order, names an input flag's file or an earlier output.
-
-    Paths are compared by ``os.path.abspath``, as strings: no filesystem
-    call, since a pyramid job passes a hundred summaries.  A subcommand
-    calls this before it reads anything.
-    """
-    taken = set()
-    for dest in _INPUT_DESTS:
-        value = getattr(args, dest, None)
-        taken.update(os.path.abspath(p) for p in (value if isinstance(value, list) else [value]) if p)
-    for flag, path in outputs:
-        key = os.path.abspath(path)
-        if key in taken:
-            parser.error(f"{flag} {str(path)!r} names another file of the run")
-        taken.add(key)
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 class _Run:
-    """What a graph subcommand reads, and the seconds each stage of its run took.
+    """One run: its plan, the bytes it read, and the seconds each stage took.
 
-    The config is ``--config`` with the flags on top; each config flag's dest
-    is its RunConfig field.  Stage ``load`` reads the tokenizer, citation
-    set, IDF table and any ``--annotations``; stage ``graph`` builds the
-    sentence graph, or leaves ``graph`` None if not ``build_graph``.  Each
-    input file is read once, and ``inputs`` keeps the bytes its loader
-    parsed, by path, for the manifest's digests.
+    Making the run makes its plan and refuses it if an output would replace
+    a file of the run.  Every input is then read through ``read``, once,
+    and ``inputs`` keeps the bytes its loader parsed, by path, for the
+    manifest's digests.
     """
 
-    def __init__(self, args: argparse.Namespace, build_graph: bool = True):
+    def __init__(self, args: argparse.Namespace, parser: argparse.ArgumentParser):
         self.stages: dict[str, float] = {}
         self.inputs: dict[str, bytes] = {}
         self._last = time.perf_counter()
-        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-        if args.config:
-            self.cfg = load_run_config(args.config, overrides, self._read(args.config))
-        else:
-            self.cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-        stopword_path = self.cfg.stopword_path
-        stopwords = load_stopwords(stopword_path, self._read(stopword_path)) if stopword_path else frozenset()
-        tokenizer = TokenizerConfig(self.cfg.lowercase, self.cfg.strip_punctuation, stopwords)
-        self.cs = load_citation_set(args.infile, self._read(args.infile))
-        idf = load_idf_table(args.idf, self._read(args.idf)) if args.idf else uniform_idf()
-        annotations = getattr(args, "annotations", None)
-        self.annotation = (
-            load_factoid_annotation(annotations, self.cs, self._read(annotations)) if annotations else None
-        )
-        self.mark("load")
-        self.graph = build_citation_summary_network(self.cs, idf, tokenizer) if build_graph else None
-        self.mark("graph")
+        self.plan = make_plan(args, self._read)
+        refuse_overwrites(self.plan, parser)
 
     def _read(self, path: str) -> bytes:
         """The bytes of the input file at ``path``, kept in ``inputs``."""
-        data = self.inputs[str(path)] = Path(path).read_bytes()
+        data = self.inputs[path] = Path(path).read_bytes()
         return data
+
+    def read(self, *keys: str) -> Iterator[tuple[str, bytes]]:
+        """The path and bytes of each planned input under one of ``keys``, read in plan order."""
+        for key, path in self.plan.inputs:
+            if key in keys:
+                yield path, self._read(path)
+
+    def load(self, build_graph: bool = True) -> None:
+        """What a graph subcommand reads, then its graph.
+
+        Stage ``load`` reads the tokenizer, citation set, IDF table and any
+        ``--annotations``; stage ``graph`` builds the sentence graph, or
+        leaves ``graph`` None if not ``build_graph``.
+        """
+        cfg = self.plan.cfg
+        stopwords = frozenset()
+        for path, data in self.read("--stopwords", "stopword_path"):
+            stopwords = load_stopwords(path, data)
+        tokenizer = TokenizerConfig(cfg.lowercase, cfg.strip_punctuation, stopwords)
+        ((path, data),) = self.read("--in")
+        self.cs = load_citation_set(path, data)
+        idf = uniform_idf()
+        for path, data in self.read("--idf"):
+            idf = load_idf_table(path, data)
+        self.annotation = None
+        for path, data in self.read("--annotations"):
+            self.annotation = load_factoid_annotation(path, self.cs, data)
+        self.mark("load")
+        self.graph = build_citation_summary_network(self.cs, idf, tokenizer) if build_graph else None
+        self.mark("graph")
 
     def mark(self, stage: str) -> None:
         """Record the seconds since the previous mark as ``stage``."""
@@ -189,21 +183,16 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.scores_out and not method.yields_scores:
         ranking = sorted(name for name, m in SUMMARIZERS.items() if m.yields_scores)
         parser.error(f"--scores-out is only valid for {ranking}")
-    out_dir = Path(args.out_dir)
-    name = f"{Path(args.infile).stem}.{args.method}.{args.budget}"
-    if args.scores_out:  # a ranking method, so one trial: these are the run's other outputs
-        exts = (".txt", ".json", ".report.tsv", ".manifest.json")
-        others = [("--out-dir", out_dir / f"{name}{ext}") for ext in exts]
-        _refuse_overwrites(args, parser, [*others, ("--scores-out", args.scores_out)])
 
-    run = _Run(args, build_graph=method.reads_graph)
-    trials = args.trials if args.trials is not None else 1
+    run = _Run(args, parser)
+    run.load(build_graph=method.reads_graph)
+    plan, summaries = run.plan, run.plan.summaries
     outputs: dict[Path, str] = {}
     reports: list[EvalReport] = []
     pyramid = build_pyramid(run.annotation) if run.annotation else None
-    for trial in range(trials):
+    for trial in range(summaries.trials):
         seed = (args.seed + trial) if args.seed is not None else None
-        ranking = method.run(run.cs, run.graph, run.cfg, seed)
+        ranking = method.run(run.cs, run.graph, plan.cfg, seed)
         if method.yields_scores and not ranking.converged:
             print(
                 f"warning: {ranking.method} did not converge: stopped after {ranking.iterations} "
@@ -211,19 +200,21 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 file=sys.stderr,
             )
         summary = assemble_from_ordering(run.cs, ranking, args.budget)
-        base = f"{name}.t{trial:03d}" if trials > 1 else name
-        outputs[out_dir / f"{base}.txt"] = summary.to_text()
-        outputs[out_dir / f"{base}.json"] = summary.to_json()
+        text_path, json_path = summaries.paths(trial)
+        outputs[text_path] = summary.to_text()
+        outputs[json_path] = summary.to_json()
         if pyramid:
             reports.append(pyramid_score(summary, run.annotation, pyramid))
     run.mark("summarize")
 
+    texts = []  # what the plan's outputs before the manifest hold: the report, then the scores
     if reports:
         mean = plain_sum(r.pyramid_score for r in reports) / len(reports)
-        tsv = report_to_tsv(reports) + f"# mean_pyramid={mean:.6f}\n"
-        outputs[out_dir / f"{name}.report.tsv"] = tsv
+        texts.append(report_to_tsv(reports) + f"# mean_pyramid={mean:.6f}\n")
     if args.scores_out:  # a ranking method, so a single trial with scores
-        outputs[Path(args.scores_out)] = scores_to_tsv(ranking)
+        texts.append(scores_to_tsv(ranking))
+    *named, (_, manifest_path) = plan.outputs
+    outputs.update(zip((Path(path) for _, path in named), texts, strict=True))
     run.mark("evaluate")
 
     # All computation succeeded; only now touch the filesystem.
@@ -237,51 +228,55 @@ def cmd_summarize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "method": args.method,
         "budget": args.budget,
         "seed": args.seed,
-        "trials": trials,
-        "config": asdict(run.cfg),
-        "inputs": {path: _sha256(data) for path, data in run.inputs.items()},
+        "trials": summaries.trials,
+        "config": asdict(plan.cfg),
+        "inputs": {path: _sha256(run.inputs[path]) for _, path in plan.inputs},
         "outputs": sorted(map(str, outputs)),
         "timings": run.stages,
     }
-    manifest_path = out_dir / f"{name}.manifest.json"
     _write_files({manifest_path: json.dumps(manifest, indent=2) + "\n"})
     print(manifest_path)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    tsv_path, json_path = Path(f"{args.out}.tsv"), Path(f"{args.out}.json")
-    _refuse_overwrites(args, parser, [("--out", tsv_path), ("--out", json_path)])
+    wanted = METRIC_INPUTS[args.metric]
+    if not all(paths_of(args, flag) for flag in wanted):
+        parser.error(f"--metric {args.metric} requires {', '.join(wanted)}")
+    for flag in dict.fromkeys(flag for flags in METRIC_INPUTS.values() for flag in flags):
+        if flag not in wanted and paths_of(args, flag):
+            parser.error(f"--metric {args.metric} does not read {flag}")
+    run = _Run(args, parser)
     if args.metric == "pyramid":
-        if not (args.summary and args.citations and args.annotations):
-            parser.error("--metric pyramid requires --summary, --citations, --annotations")
-        cs = load_citation_set(args.citations)
-        annotation = load_factoid_annotation(args.annotations, cs)
+        ((path, data),) = run.read("--citations")
+        cs = load_citation_set(path, data)
+        ((path, data),) = run.read("--annotations")
+        annotation = load_factoid_annotation(path, cs, data)
         pyramid = build_pyramid(annotation)
         reports = []
-        for path in args.summary:
-            summary = summary_from_json(path)
+        for path, data in run.read("--summary"):
+            summary = summary_from_json(path, data)
             try:
                 reports.append(pyramid_score(summary, annotation, pyramid))
             except DataError as exc:
                 raise DataError(f"{path}: {exc}") from None
         tsv, payload = report_to_tsv(reports), [r.to_dict() for r in reports]
     elif args.metric == "rouge":
-        if not (args.candidate and args.references):
-            parser.error("--metric rouge requires --candidate and --references")
-        candidate = load_reference_summary(args.candidate)
-        references = [load_reference_summary(p) for p in args.references]
+        ((path, data),) = run.read("--candidate")
+        candidate = load_reference_summary(path, data)
+        references = [load_reference_summary(path, data) for path, data in run.read("--references")]
         payload = {
             f"rouge_{n}": rouge_n(candidate, references, n, jackknife=args.jackknife) for n in (1, 2)
         }
         tsv = "metric\tvalue\n" + "".join(f"{key}\t{score:.6f}\n" for key, score in payload.items())
         payload["jackknife"] = args.jackknife
     else:  # kappa
-        if not (args.citations and args.spans_a and args.spans_b):
-            parser.error("--metric kappa requires --citations, --spans-a, --spans-b")
-        cs = load_citation_set(args.citations)
-        ann_a = _single_annotator(load_nugget_spans(args.spans_a, cs), args.spans_a)
-        ann_b = _single_annotator(load_nugget_spans(args.spans_b, cs), args.spans_b)
+        ((path, data),) = run.read("--citations")
+        cs = load_citation_set(path, data)
+        ann_a, ann_b = (
+            _single_annotator(load_nugget_spans(path, cs, data), path)
+            for path, data in run.read("--spans-a", "--spans-b")
+        )
         payload = {
             name: ngram_kappa(ann_a, ann_b, cs, n, chance_model=args.chance_model)
             for n, name in ((1, "unigram"), (2, "bigram"), (3, "trigram"))
@@ -289,6 +284,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         tsv = "pair\t" + "\t".join(payload) + "\n"
         tsv += f"{ann_a.annotator} vs {ann_b.annotator}\t" + "\t".join(f"{k:.6f}" for k in payload.values()) + "\n"
         payload["chance_model"] = args.chance_model
+    (_, tsv_path), (_, json_path) = run.plan.outputs
     _write_files({tsv_path: tsv, json_path: json.dumps(payload, indent=2) + "\n"})
     print(tsv_path)
     return 0
@@ -303,14 +299,14 @@ def _single_annotator(annotations: dict, path) -> "object":
 
 
 def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _refuse_overwrites(args, parser, [("--dot", args.dot)] if args.dot else [])
-    run = _Run(args)
-    graph, threshold = run.graph, run.cfg.lexrank_edge_threshold
+    run = _Run(args, parser)
+    run.load()
+    graph, threshold = run.graph, run.plan.cfg.lexrank_edge_threshold
     coefficient = clustering_coefficient(graph, threshold)
     paths = average_shortest_path(graph, threshold)
     clustering = cluster_cnm(graph)
     q = modularity(graph, clustering.assignment)
-    dot = to_dot(graph, threshold) if args.dot else None  # an id DOT cannot quote fails here, before any output
+    dot = to_dot(graph, threshold) if run.plan.outputs else None  # an id DOT cannot quote fails here, before any output
 
     print(f"nodes\t{len(graph)}")
     print(f"edges\t{graph.edge_count(threshold)}")
@@ -323,17 +319,18 @@ def cmd_graph_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     print(f"modularity\t{q:.6f}")
     if len(graph) == 1:
         print("caveat\tsingle-node graph: C is trivially 0 and Q is degenerate")
-    if dot is not None:
-        _write_files({Path(args.dot): dot})
-        print(f"dot\t{args.dot}")
+    for _, path in run.plan.outputs:  # --dot
+        _write_files({Path(path): dot})
+        print(f"dot\t{path}")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _refuse_overwrites(args, parser, [("--out", args.out)])
-    graph = _Run(args).graph
-    _write_files({Path(args.out): clustering_to_tsv(cluster_cnm(graph), graph.nodes)})
-    print(args.out)
+    run = _Run(args, parser)
+    run.load()
+    ((_, out),) = run.plan.outputs
+    _write_files({Path(out): clustering_to_tsv(cluster_cnm(run.graph), run.graph.nodes)})
+    print(out)
     return 0
 
 

@@ -6,7 +6,10 @@ not UTF-8; the loaders of a run's inputs also take the file's bytes as
 ``data`` when the caller has read them already):
   - citation set: JSON lines, one object per sentence:
         {"id": str, "text": str, "source_doc": str}
-    Line order is significant and preserved.
+    Line order is significant and preserved.  Lines end at LF alone (after
+    CRLF and CR become LF), since a JSON string may hold U+0085, U+2028 and
+    U+2029 unescaped; the other formats end lines where ``str.splitlines``
+    does.
   - factoid annotation: TSV rows ``sentence_id<TAB>factoid_id`` (one row per pair).
   - nugget spans: TSV rows ``annotator<TAB>sentence_id<TAB>start<TAB>end``; the
     annotator is not blank, and start/end are byte offsets into the UTF-8
@@ -285,13 +288,13 @@ def load_stopwords(path: str | Path, data: bytes | None = None) -> frozenset[str
     return frozenset(words)
 
 
-def _read_text(path: str | Path, data: bytes | None = None) -> str:
+def _read_text(path: str | Path, data: bytes | None = None, lines=str.splitlines) -> str:
     """The text of a UTF-8 file, its line breaks read as ``Path.read_text`` reads them.
 
     ``data`` is the file's bytes if the caller has read them already.  Bytes
     that are not UTF-8, or a leading byte order mark, are a ParseError naming
-    the line, counted as the loaders count lines.  CRLF and a lone CR
-    become LF.
+    the line, numbered by ``lines``, the file format's line rule.  CRLF and a
+    lone CR become LF.
     """
     if data is None:
         data = Path(path).read_bytes()
@@ -300,15 +303,24 @@ def _read_text(path: str | Path, data: bytes | None = None) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        lineno = len(lines(_to_lf(data[: exc.start].decode("utf-8")) + "?"))
         raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return _to_lf(text)
 
 
-def _read_lines(path: str | Path, data: bytes | None = None) -> list[str]:
-    return _read_text(path, data).splitlines()
+def _to_lf(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _read_lines(path: str | Path, data: bytes | None = None, lines=str.splitlines) -> list[str]:
+    return lines(_read_text(path, data, lines))
+
+
+def _split_at_lf(text: str) -> list[str]:
+    """A citation set's line rule: lines end at LF alone.  JSON may hold U+0085,
+    U+2028 and U+2029 unescaped, and ``str.splitlines`` would break inside
+    such a string."""
+    return text.split("\n")
 
 
 def _tsv_rows(path: str | Path, fields: tuple[str, ...], lines: list[str] | None = None):
@@ -339,7 +351,7 @@ def load_citation_set(path: str | Path, data: bytes | None = None) -> CitationSe
     path = Path(path)
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(_read_lines(path, data), start=1):
+    for lineno, raw in enumerate(_read_lines(path, data, _split_at_lf), start=1):
         if not raw.strip():
             continue
         try:
@@ -400,7 +412,7 @@ def load_factoid_annotation(path: str | Path, cs: CitationSet, data: bytes | Non
     )
 
 
-def load_nugget_spans(path: str | Path, cs: CitationSet) -> dict[str, NuggetSpanAnnotation]:
+def load_nugget_spans(path: str | Path, cs: CitationSet, data: bytes | None = None) -> dict[str, NuggetSpanAnnotation]:
     """Load ``annotator<TAB>sentence_id<TAB>start<TAB>end`` rows, one annotation per annotator.
 
     An empty or blank annotator cell is a ParseError naming the line.
@@ -410,7 +422,7 @@ def load_nugget_spans(path: str | Path, cs: CitationSet) -> dict[str, NuggetSpan
     """
     text_bytes = {s.id: s.text.encode("utf-8") for s in cs.sentences}
     per_annotator: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    for lineno, cells in _tsv_rows(path, ("annotator", "sentence_id", "start", "end")):
+    for lineno, cells in _tsv_rows(path, ("annotator", "sentence_id", "start", "end"), _read_lines(path, data)):
         annotator, sid, start_s, end_s = (c.strip() for c in cells)
         if not annotator:
             raise ParseError(f"{path}:{lineno}: empty annotator")
@@ -534,9 +546,9 @@ def _idf_table_by_line(path: str | Path, lines: list[str]) -> IdfTable:
     return IdfTable(values=values, default_idf=max(values.values()))
 
 
-def load_reference_summary(path: str | Path) -> str:
+def load_reference_summary(path: str | Path, data: bytes | None = None) -> str:
     """Plain-text reference summary; the whole file is one summary."""
-    text = _read_text(path).strip()
+    text = _read_text(path, data).strip()
     if not text:
         raise ValidationError(f"{path}: empty reference summary")
     return text

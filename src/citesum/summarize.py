@@ -22,7 +22,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .community import Clustering, cluster_cnm
-from .corpus import CitationSet, DataError, RunConfig, _read_text
+from .corpus import CitationSet, DataError, RunConfig, _read_text, _split_at_lf
 from .graph import SimilarityGraph
 from .rank import Ordering, lexrank
 
@@ -188,7 +188,7 @@ def c_rr_summary(
     return assemble_from_ordering(cs, c_rr_order(g, seed, clustering), budget)
 
 
-def summary_from_json(path) -> Summary:
+def summary_from_json(path, data: bytes | None = None) -> Summary:
     """Read back the machine form written by Summary.to_json.
 
     Each field must have the JSON type ``to_json`` writes: ``words``,
@@ -203,9 +203,11 @@ def summary_from_json(path) -> Summary:
     and at most ``budget``; a DataError names the broken one.  The file is
     read as every loader reads its input (``corpus._read_text``), so bytes
     that are not UTF-8, or a leading byte order mark, are a ParseError
-    naming the line.
+    naming the line, its lines ending at LF alone as a citation set's do,
+    since ``to_json`` writes U+0085, U+2028 and U+2029 unescaped; ``data``
+    is the file's bytes if the caller has read them.
     """
-    text = _read_text(path)
+    text = _read_text(path, data, _split_at_lf)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,7 +18,10 @@ while its transitions fit in one block of ``citesum.rank.ROW_BLOCK_BYTES``;
 over several blocks, the same iteration count and scores within a stated
 relative bound (see ``tests/test_kernels.py``).  The graph oracle tokenizes
 with ``tokenize_oracle``, so it is independent of the package's tokenizer
-too.  Test use only; the first two are cubic in the node count.
+too.  ``pack_oracle``, ``kappa_oracle`` and ``rouge_n_oracle`` were written
+from the rules the package documents, not kept from an earlier version; the
+budget packer must give the same summary, and n-gram kappa and ROUGE-N the
+same float bits.  Test use only; the first two are cubic in the node count.
 """
 
 from __future__ import annotations
@@ -26,18 +29,20 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
 
 from citesum import rank
 from citesum.community import Clustering, cluster_cnm
-from citesum.corpus import CitationSet, IdfTable, ParseError, RunConfig, ValidationError, _tsv_rows
+from citesum.corpus import (
+    CitationSet, DataError, IdfTable, NuggetSpanAnnotation, ParseError, RunConfig, ValidationError, _tsv_rows,
+)
 from citesum.graph import PathStats, SimilarityGraph
 from citesum.lexical import TermVector, TokenizerConfig, tfidf_vector
 from citesum.rank import Ordering, RankScores, lexrank
-from citesum.summarize import Summary, assemble_from_ordering
+from citesum.summarize import Summary, SummaryEntry, assemble_from_ordering
 
 
 def cluster_cnm_oracle(g: SimilarityGraph) -> Clustering:
@@ -475,3 +480,118 @@ def c_rr_summary_oracle(
         rng.shuffle(shuffled[c])
     order = Ordering(tuple(_round_robin_oracle(visit, shuffled)), "c-rr")
     return assemble_from_ordering(cs, order, budget)
+
+
+def pack_oracle(cs: CitationSet, order: Ordering, budget: int) -> Summary:
+    """The budget rules, walked once over ``order`` with the words left.
+
+    A sentence goes in whole while its words fit in the words left.  The
+    first that does not fit is cut to the words left, marked truncated, and
+    ends the summary; once no word is left nothing more goes in, not even a
+    sentence of no words.  Words are the whitespace-separated tokens of the
+    text, counted here, and a cut sentence keeps its first words joined by
+    single spaces.
+    """
+    sentences = {s.id: s for s in cs.sentences}
+    entries: list[SummaryEntry] = []
+    left = budget
+    for sid in order.ids:
+        if left <= 0:
+            break
+        sentence = sentences[sid]
+        words = sentence.text.split()
+        if len(words) > left:
+            entries.append(SummaryEntry(sid, " ".join(words[:left]), left, True, sentence.source_doc))
+            left = 0
+        else:
+            entries.append(SummaryEntry(sid, sentence.text, len(words), False, sentence.source_doc))
+            left -= len(words)
+    return Summary(entries=tuple(entries), total_words=budget - left, method=order.method, budget=budget)
+
+
+def _token_byte_ranges_oracle(text: str) -> list[tuple[int, int]]:
+    """The byte ranges, in ``text``'s UTF-8 form, of its runs of non-whitespace
+    characters, found one character at a time."""
+    ranges: list[tuple[int, int]] = []
+    start = None
+    pos = 0
+    for ch in text:
+        if ch.isspace():
+            if start is not None:
+                ranges.append((start, pos))
+            start = None
+        elif start is None:
+            start = pos
+        pos += len(ch.encode("utf-8"))
+    if start is not None:
+        ranges.append((start, pos))
+    return ranges
+
+
+def kappa_oracle(
+    a: NuggetSpanAnnotation, b: NuggetSpanAnnotation, cs: CitationSet, n: int = 1, chance_model: str = "cohen"
+) -> float:
+    """Chance-corrected agreement of two annotators on the n-gram windows of every sentence.
+
+    An annotator puts a window in a nugget iff the byte range of each of its
+    tokens lies inside one of that annotator's spans on the sentence; each
+    window is labelled by testing that containment directly.  The counts of
+    agreeing windows and of each annotator's in-windows then give observed
+    and expected agreement by the chance model's formula.
+    """
+    total = agree = a_in = b_in = 0
+    for sentence in cs.sentences:
+        tokens = _token_byte_ranges_oracle(sentence.text)
+        for i in range(len(tokens) - n + 1):
+            window = tokens[i : i + n]
+            label_a, label_b = (
+                all(any(lo <= start and end <= hi for lo, hi in ann.sentence_spans.get(sentence.id, ()))
+                    for start, end in window)
+                for ann in (a, b)
+            )
+            total += 1
+            agree += label_a == label_b
+            a_in += label_a
+            b_in += label_b
+    if total == 0:
+        raise DataError("no units: no sentence has enough tokens for this n-gram size")
+    observed, pa, pb = agree / total, a_in / total, b_in / total
+    if chance_model == "cohen":
+        expected = pa * pb + (1 - pa) * (1 - pb)
+    elif chance_model == "scott":
+        pooled = (pa + pb) / 2
+        expected = pooled * pooled + (1 - pooled) * (1 - pooled)
+    else:
+        expected = 0.5
+    return 1.0 if expected == 1.0 else (observed - expected) / (1.0 - expected)
+
+
+def rouge_n_oracle(candidate: str, references: list[str], n: int = 2, jackknife: bool = False) -> float:
+    """ROUGE-N recall from clipped n-gram counts.
+
+    A reference's matches are its n-grams clipped by the candidate's counts
+    (``Counter`` intersection).  Without jackknifing, matches and reference
+    n-grams pool over all references.  With it, each reference is held out
+    in turn, the best single-reference recall over the explicit subset of
+    the others is taken, and those bests are averaged, added left to right.
+    """
+
+    def grams(text: str) -> Counter:
+        words = text.lower().split()
+        return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+
+    cand = grams(candidate)
+
+    def counts(reference: str) -> tuple[int, int]:
+        ref = grams(reference)
+        return sum((ref & cand).values()), sum(ref.values())
+
+    if not jackknife:
+        pairs = [counts(ref) for ref in references]
+        pooled = sum(total for _, total in pairs)
+        return sum(matches for matches, _ in pairs) / pooled if pooled else 0.0
+    mean = 0.0
+    for held_out in range(len(references)):
+        subset = references[:held_out] + references[held_out + 1 :]
+        mean += max(m / t if t else 0.0 for m, t in map(counts, subset))
+    return mean / len(references)

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from citesum import cli
 from citesum.cli import main
 from citesum.corpus import load_citation_set, load_idf_table
 from citesum.evaluate import EvalReport
 from citesum.lexical import TokenizerConfig
+from citesum.plan import METRIC_INPUTS, Plan, Summaries, make_plan
 
 
 @pytest.fixture()
@@ -959,6 +962,16 @@ OVERWRITES = {
         ["summarize", "--in", "c.jsonl", "--method", "lexrank", "--budget", "30",
          "--scores-out", "c.lexrank.30.manifest.json"],
     ),
+    "summary-json-is-idf": (
+        "--out-dir", "sub/../c.lexrank.30.json",
+        ["summarize", "--in", "c.jsonl", "--idf", "sub/../c.lexrank.30.json", "--method", "lexrank",
+         "--budget", "30", "--out-dir", "."],
+    ),
+    "trial-summary-is-idf": (
+        "--out-dir", "c.random.30.t002.txt",
+        ["summarize", "--in", "c.jsonl", "--idf", "c.random.30.t002.txt", "--method", "random", "--seed", "1",
+         "--trials", "3", "--budget", "30"],
+    ),
 }
 
 
@@ -971,6 +984,7 @@ def test_no_output_may_name_another_file_of_the_run(flag, path, argv, paths, tmp
         "idf.tsv": Path(paths["idf"]).read_bytes(),
         "f.tsv": Path(paths["factoids"]).read_bytes(),
         "c.lexrank.30.json": b"{}\n",
+        "c.random.30.t002.txt": b"the\t1.0\n",
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -1001,11 +1015,226 @@ def subparsers_of(parser) -> dict:
     return subparsers.choices
 
 
+def planned(argv: list[str], config: bytes = b"") -> Plan:
+    """The plan of ``argv``, its ``--config`` holding ``config``."""
+    return make_plan(cli.build_parser().parse_args(argv), lambda path: config)
+
+
+# Per subcommand, an argv that sets every flag naming a file, each to its own path.
+EVERY_FILE_FLAG = [
+    ["summarize", "--in", "c.jsonl", "--idf", "i.tsv", "--config", "r.cfg", "--stopwords", "s.txt",
+     "--annotations", "f.tsv", "--method", "lexrank", "--budget", "3", "--scores-out", "sc.tsv"],
+    ["graph-stats", "--in", "c.jsonl", "--idf", "i.tsv", "--config", "r.cfg", "--stopwords", "s.txt",
+     "--dot", "g.dot"],
+    ["cluster", "--in", "c.jsonl", "--idf", "i.tsv", "--config", "r.cfg", "--stopwords", "s.txt", "--out", "o.tsv"],
+    ["evaluate", "--metric", "pyramid", "--summary", "a.json", "b.json", "--citations", "c.jsonl",
+     "--annotations", "f.tsv", "--out", "rep"],
+    ["evaluate", "--metric", "rouge", "--candidate", "a.txt", "--references", "r1.txt", "r2.txt", "--out", "rep"],
+    ["evaluate", "--metric", "kappa", "--citations", "c.jsonl", "--spans-a", "a.tsv", "--spans-b", "b.tsv",
+     "--out", "rep"],
+]
+
+
 def test_every_path_flag_is_an_input_or_an_output():
-    # An input flag missing from _INPUT_DESTS would escape the overwrite rule.
-    for sub in subparsers_of(cli.build_parser()).values():
-        dests = {a.dest for a in sub._actions if a.type is cli._file_path}
-        assert dests - {"out", "dot", "scores_out"} <= set(cli._INPUT_DESTS)
+    # A file flag missing from the plan would escape the overwrite rule.
+    named = set()
+    for argv in EVERY_FILE_FLAG:
+        plan = planned(argv)
+        files = [(flag, str(path)) for flag, path in plan.inputs + plan.outputs]
+        for flag in (arg for arg in argv if arg.startswith("--")):
+            values = argv[argv.index(flag) + 1:]
+            values = values[: next((i for i, v in enumerate(values) if v.startswith("--")), len(values))]
+            if flag == "--out" and argv[0] == "evaluate":
+                values = [f"{values[0]}.tsv", f"{values[0]}.json"]
+            if all((flag, value) in files for value in values):
+                named.add((argv[0], flag))
+    for command, sub in subparsers_of(cli.build_parser()).items():
+        for action in sub._actions:
+            if action.type is cli._file_path:
+                assert (command, action.option_strings[0]) in named
+
+
+@pytest.mark.parametrize("trials, path, holds", [
+    (3, "o/c.random.30.t000.txt", True),
+    (3, "o/../o/c.random.30.t002.json", True),
+    (3, "o/c.random.30.t003.json", False),
+    (3, "o/c.random.30.json", False),
+    (3, "c.random.30.t001.txt", False),
+    (1, "o/c.random.30.txt", True),
+    (1, "o/c.random.30.t000.txt", False),
+    (1, "o/c.random.30.report.tsv", False),
+])
+def test_the_summaries_rule_holds_exactly_each_trials_files(trials, path, holds):
+    assert Summaries(Path("o"), "c.random.30", trials).holds(path) is holds
+
+
+def test_a_config_stopword_path_is_planned_by_its_key():
+    plan = planned(["cluster", "--in", "c.jsonl", "--config", "r.cfg", "--out", "o.tsv"], b"stopword_path = s.txt\n")
+    assert plan.inputs == (("--config", "r.cfg"), ("stopword_path", "s.txt"), ("--in", "c.jsonl"))
+    plan = planned(["cluster", "--in", "c.jsonl", "--config", "r.cfg", "--stopwords", "t.txt", "--out", "o.tsv"],
+                   b"stopword_path = s.txt\n")
+    assert plan.inputs == (("--config", "r.cfg"), ("--stopwords", "t.txt"), ("--in", "c.jsonl"))
+
+
+def test_a_config_whose_stopword_list_is_the_output_reads_only_the_config(paths, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "c.jsonl": Path(paths["citations"]).read_bytes(),
+        "run.cfg": b"stopword_path = stop.txt\n",
+        "stop.txt": b"the\nof\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    read, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: read.append(p) or read_bytes(p))
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--in", "c.jsonl", "--config", "run.cfg", "--out", "stop.txt"])
+    monkeypatch.undo()
+    assert exc.value.code == 2
+    assert "--out 'stop.txt' names another file of the run" in capsys.readouterr().err
+    assert read == [Path("run.cfg")]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("metric, flag", [("rouge", "--citations"), ("kappa", "--summary"), ("pyramid", "--spans-a")])
+def test_an_input_flag_the_metric_does_not_read_is_a_usage_error(metric, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "rouge": ["--candidate", "a.txt", "--references", "r.txt"],
+        "kappa": ["--citations", "c.jsonl", "--spans-a", "a.tsv", "--spans-b", "b.tsv"],
+        "pyramid": ["--summary", "s.json", "--citations", "c.jsonl", "--annotations", "f.tsv"],
+    }[metric]
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--metric", metric, *argv, flag, "x.tsv", "--out", "x"])
+    assert exc.value.code == 2
+    assert f"--metric {metric} does not read {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# The paths a generated run may give its file flags, relative to its working
+# directory.  Several name one file, and most are files that a summarize run
+# of c.jsonl into o/ writes.
+NAMES = ["c.jsonl", "i.tsv", "sub/../i.tsv", "run.cfg", "rep.json", "o/c.lexrank.30.json",
+         "o/../o/c.lexrank.30.report.tsv", "o/c.lexrank.30.manifest.json", "o/c.random.30.t001.txt",
+         "o/c.random.30.t002.json"]
+
+
+@st.composite
+def planned_runs(draw):
+    """An argv of any subcommand with its file flags drawn from NAMES, and its config's text."""
+    name = st.sampled_from(NAMES)
+    command = draw(st.sampled_from(["summarize", "graph-stats", "cluster", "evaluate"]))
+    config = b""
+    if command == "evaluate":
+        metric = draw(st.sampled_from(list(METRIC_INPUTS)))
+        argv = ["evaluate", "--metric", metric, "--out", draw(st.sampled_from(["rep", "o/c.lexrank.30", "i"]))]
+        for flag in METRIC_INPUTS[metric]:
+            count = draw(st.integers(1, 2)) if flag in ("--summary", "--references") else 1
+            argv += [flag, *(draw(name) for _ in range(count))]
+        return argv, config
+    argv = [command, "--in", draw(st.sampled_from(["c.jsonl", "./c.jsonl"]) if command == "summarize" else name)]
+    for flag in ("--idf", "--stopwords", "--config"):
+        if draw(st.booleans()):
+            argv += [flag, "run.cfg" if flag == "--config" else draw(name)]
+    if "--config" in argv and draw(st.booleans()):
+        config = f"stopword_path = {draw(name)}\n".encode()
+    if command == "summarize":
+        method = draw(st.sampled_from(["lexrank", "random"]))
+        argv += ["--method", method, "--budget", "30", "--seed", "1",
+                 "--out-dir", draw(st.sampled_from(["o", "o/../o"]))]
+        if method == "random":
+            argv += ["--trials", str(draw(st.integers(1, 3)))]
+        else:
+            argv += ["--scores-out", draw(st.sampled_from(["sc.tsv", "c.jsonl", *NAMES[-5:-2]]))]
+        if draw(st.booleans()):
+            argv += ["--annotations", draw(name)]
+    elif command == "cluster":
+        argv += ["--out", draw(name)]
+    elif draw(st.booleans()):
+        argv += ["--dot", draw(name)]
+    return argv, config
+
+
+class Checked(Exception):
+    """Raised in place of everything a run does once its plan has passed the overwrite check."""
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_case=planned_runs())
+def test_property_a_run_refuses_its_plan_before_reading_iff_an_output_is_a_file_of_the_run(
+    run_case, tmp_path, capsys, monkeypatch
+):
+    argv, config = run_case
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_bytes(config)
+    plans, read = [], []
+    plan, refuse = cli.make_plan, cli.refuse_overwrites
+
+    def refuse_then_stop(*args):
+        refuse(*args)
+        raise Checked
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "make_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+        patched.setattr(cli, "refuse_overwrites", refuse_then_stop)
+        read_bytes = Path.read_bytes
+        patched.setattr(Path, "read_bytes", lambda p: read.append(str(p)) or read_bytes(p))
+        try:
+            main(argv)
+            raise AssertionError("the run went past its plan")
+        except SystemExit as exc:
+            assert exc.code == 2
+            refused = True
+        except Checked:
+            refused = False
+    capsys.readouterr()
+    (plan,) = plans
+    assert read == (["run.cfg"] if "--config" in argv else [])
+    # Every file flag, and the config's stopword_path, is in the plan.
+    files = {(flag, str(path)) for flag, path in plan.inputs + plan.outputs}
+    for i, arg in enumerate(argv):
+        if arg in ("--in", "--idf", "--stopwords", "--config", "--annotations", "--scores-out", "--dot", "--citations",
+                   "--candidate", "--spans-a", "--spans-b") or (arg == "--out" and argv[0] == "cluster"):
+            assert (arg, argv[i + 1]) in files
+        elif arg == "--out":
+            assert {("--out", f"{argv[i + 1]}.tsv"), ("--out", f"{argv[i + 1]}.json")} <= files
+        elif arg in ("--summary", "--references"):
+            assert all((arg, value) in files for value in argv[i + 1:i + 3] if not value.startswith("--"))
+    if config and "--stopwords" not in argv:
+        assert ("stopword_path", config.decode().split(" = ")[1].strip()) in files
+    # The plan is refused iff a file it writes, listed or by the summaries' rule, is one it reads or writes earlier.
+    inputs = {os.path.abspath(path) for _, path in plan.inputs}
+    written = [os.path.abspath(path) for _, path in plan.outputs]
+    if plan.summaries:
+        written += [os.path.abspath(p) for trial in range(plan.summaries.trials) for p in plan.summaries.paths(trial)]
+    assert refused == bool(inputs & set(written) or len(set(written)) < len(written))
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--in", "{citations}", "--idf", "{idf}", "--annotations", "{factoids}", "--method", "lexrank",
+     "--budget", "40", "--scores-out", "{out}/sc/s.tsv", "--out-dir", "{out}/d"],
+    ["summarize", "--in", "{citations}", "--annotations", "{factoids}", "--method", "random", "--seed", "3",
+     "--trials", "3", "--budget", "40", "--out-dir", "{out}"],
+    ["graph-stats", "--in", "{citations}", "--dot", "{out}/g.dot"],
+    ["cluster", "--in", "{citations}", "--out", "{out}/c.tsv"],
+    ["evaluate", "--metric", "rouge", "--candidate", "{factoids}", "--references", "{idf}", "--out", "{out}/r"],
+], ids=["summarize", "summarize-trials", "graph-stats", "cluster", "evaluate"])
+def test_each_run_writes_the_paths_its_plan_names(argv, paths, tmp_path, capsys, monkeypatch):
+    argv = [arg.format(out=tmp_path, **paths) for arg in argv]
+    plans, written = [], []
+    plan, write = cli.make_plan, cli._write_atomic
+    monkeypatch.setattr(cli, "make_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+    monkeypatch.setattr(cli, "_write_atomic", lambda path, text: written.append(path) or write(path, text))
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    (plan,) = plans
+    trials = plan.summaries
+    summaries = [p for trial in range(trials.trials) for p in trials.paths(trial)] if trials else []
+    assert written == summaries + [Path(path) for _, path in plan.outputs]
+    if argv[0] == "summarize":  # the manifest's inputs are the plan's, in read order
+        manifest = json.loads(written[-1].read_text())
+        assert list(manifest["inputs"]) == [path for _, path in plan.inputs]
 
 
 def argparse_formatted_parser():

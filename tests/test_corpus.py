@@ -113,6 +113,24 @@ class TestCitationSet:
         with pytest.raises(ParseError, match=":2"):
             load_citation_set(path)
 
+    def test_lines_end_at_lf_alone(self, tmp_path):
+        # JSON may hold these three unescaped, as json.dumps(..., ensure_ascii=False)
+        # writes them; str.splitlines would break a line inside the string.
+        texts = ["a\u2028b", "c\x85d \u2029e"]
+        body = "".join(
+            json.dumps({"id": f"s{i}", "text": text}, ensure_ascii=False) + "\n" for i, text in enumerate(texts, 1)
+        ).encode("utf-8")
+        assert b"\xe2\x80\xa8" in body and b"\xc2\x85" in body
+        path = tmp_path / "raw.jsonl"
+        path.write_bytes(body)
+        assert [s.text for s in load_citation_set(path).sentences] == texts
+        path.write_bytes(body + b"not json\n")
+        with pytest.raises(ParseError, match=r"raw\.jsonl:3: malformed JSON"):
+            load_citation_set(path)
+        path.write_bytes(body + b"ca\xe9\n")
+        with pytest.raises(ParseError, match=r"raw\.jsonl:3: not valid UTF-8"):
+            load_citation_set(path)
+
     def test_missing_field_rejected(self, tmp_path):
         path = write(tmp_path, "missing.jsonl", '{"id": "s1"}\n')
         with pytest.raises(ValidationError, match="text"):

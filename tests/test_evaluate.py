@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 from conftest import toy_citation_set
+from oracles import kappa_oracle, rouge_n_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -365,3 +366,25 @@ def test_property_kappa_is_symmetric(case, n, model):
     cs, a, b = case
     assume(any(s.word_count >= n for s in cs.sentences))
     assert ngram_kappa(a, b, cs, n, model) == ngram_kappa(b, a, cs, n, model)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(two_annotators(), st.integers(1, 3), st.sampled_from(["cohen", "scott", "uniform"]))
+def test_property_kappa_equals_the_window_oracle(case, n, model):
+    cs, a, b = case
+    assume(any(s.word_count >= n for s in cs.sentences))
+    assert ngram_kappa(a, b, cs, n, model).hex() == kappa_oracle(a, b, cs, n, model).hex()
+
+
+@st.composite
+def candidates_and_references(draw):
+    text = st.lists(st.sampled_from(["a", "A", "bb", "dé", "e"]), max_size=10).map(" ".join)
+    return draw(text), draw(st.lists(text.filter(str.strip), min_size=2, max_size=5))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(candidates_and_references(), st.integers(1, 3), st.booleans())
+def test_property_rouge_equals_the_counter_oracle(case, n, jackknife):
+    candidate, references = case
+    got = rouge_n(candidate, references, n, jackknife=jackknife)
+    assert got.hex() == rouge_n_oracle(candidate, references, n, jackknife).hex()

@@ -9,7 +9,7 @@ import pytest
 from conftest import make_graph, toy_citation_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import c_lexrank_summary_oracle, c_rr_summary_oracle
+from oracles import c_lexrank_summary_oracle, c_rr_summary_oracle, pack_oracle
 
 from citesum.cli import SUMMARIZERS
 from citesum.community import Clustering
@@ -186,6 +186,15 @@ class TestSummaryFromJson:
         path = tmp_path / "bad.json"
         path.write_text("[]", encoding="utf-8")
         with pytest.raises(DataError, match="summary field summary must be an object"):
+            summary_from_json(path)
+
+    def test_a_byte_that_is_not_utf8_is_named_by_its_lf_line(self, tmp_path):
+        summary, _ = self.payload()
+        text = summary.to_json().replace('"text": "', '"text": "\u2028', 1)
+        assert "\u2028" in text  # to_json writes it unescaped, inside one line
+        path = tmp_path / "s.json"
+        path.write_bytes(text.encode("utf-8") + b"\xe9")
+        with pytest.raises(DataError, match=rf"s\.json:{text.count(chr(10)) + 1}: not valid UTF-8"):
             summary_from_json(path)
 
     def test_missing_source_doc_reads_empty(self, tmp_path):
@@ -379,3 +388,21 @@ def test_property_cluster_summaries_equal_the_queue_oracles(case):
             order = SUMMARIZERS[method].run(cs, g, cfg, seed)
             assert assemble_from_ordering(cs, order, budget) == oracle
             assert not isinstance(order, RankScores)  # no scores to write
+
+
+@st.composite
+def orderings_with_budgets(draw):
+    """Sentences of zero or more words, with runs of spaces, in a random order, and a budget
+    from 0 to five words past the whole set."""
+    pieces = st.sampled_from(["a", "bb", "dé", " ", "   "])
+    texts = draw(st.lists(st.lists(pieces, max_size=10).map("".join), min_size=1, max_size=8))
+    cs = toy_citation_set(texts)
+    order = Ordering(tuple(draw(st.permutations(cs.ids))), "test")
+    return cs, order, draw(st.integers(0, total_words(cs) + 5))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(orderings_with_budgets())
+def test_property_packing_equals_the_plain_loop(case):
+    cs, order, budget = case
+    assert assemble_from_ordering(cs, order, budget) == pack_oracle(cs, order, budget)
